@@ -3,13 +3,16 @@
 The package is a strictly optional layer over the simulators:
 
 * :class:`TraceRecorder` collects typed, sim-time-stamped events from
-  instrumented components; the default :data:`NULL_RECORDER` keeps the
-  disabled path bit-identical and effectively free (one attribute read
-  on cold code, nothing in the struct-of-arrays hot loops).
+  instrumented components into one array per event field; the default
+  :data:`NULL_RECORDER` keeps the disabled path bit-identical and
+  effectively free (one attribute read on cold code, nothing in the
+  struct-of-arrays hot loops).
 * :class:`LogHistogram` / :func:`per_trefi_series` reduce an event
   stream into exactly-mergeable histograms and per-tREFI time series.
 * :func:`make_obs_artifact` serializes a recorded run as a
-  ``repro.obs/v1`` artifact; :func:`to_perfetto` exports the stream
+  ``repro.obs/v1`` artifact whose per-event arrays are views over the
+  recorder's columns with their own exact JSON encoding
+  (:mod:`repro.obs.encoding`); :func:`to_perfetto` exports the stream
   for ``ui.perfetto.dev``.
 * :func:`run_provenance` assembles the identity block sweeps and
   benchmarks stamp into their artifacts.

@@ -20,6 +20,12 @@ formatting matches every other ``BENCH_*`` file):
   reads ``traceEvents`` and ignores unknown keys, so the artifact
   itself loads directly in the trace viewer; ``repro obs export``
   strips it down to a pure trace-event file.
+
+:func:`make_obs_artifact` reads the recorder's columns: ``events`` and
+``traceEvents`` are :class:`~repro.obs.encoding.JsonRows` views, which
+compare equal to the plain lists they stand for and which
+:func:`~repro.sweep.artifacts.write_artifact` encodes through their
+templates, writing exactly the bytes the plain lists would give.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.obs.encoding import JsonRows
 from repro.obs.events import EVENT_KINDS, TraceEvent
 from repro.obs.metrics import LogHistogram, histogram_of, per_trefi_series
-from repro.obs.perfetto import to_perfetto
+from repro.obs.perfetto import perfetto_view
 from repro.obs.provenance import run_provenance
 from repro.obs.recorder import TraceRecorder
 
@@ -42,6 +49,16 @@ _HISTOGRAMS = (
     ("queue_ns", "queue-issue", "value"),
     ("frontend_stall_ns", "queue-stall", "dur_ns"),
 )
+
+
+def _row_fields(code: int, *fields) -> tuple:
+    """An event's row shape (its kind code) and its numeric fields."""
+    return code, fields
+
+
+def _row(code: int, fields: tuple) -> List[object]:
+    """The :meth:`~repro.obs.events.TraceEvent.to_row` row of an event."""
+    return TraceEvent(EVENT_KINDS[code], *fields).to_row()
 
 
 def make_obs_artifact(
@@ -68,9 +85,9 @@ def make_obs_artifact(
         "schema": OBS_SCHEMA,
         "meta": merged_meta,
         "counts": recorder.counts(),
-        "events": [event.to_row() for event in recorder.events],
+        "events": JsonRows(recorder, _row_fields, _row),
         "histograms": {
-            name: histogram_of(recorder.events, kind, field).to_json()
+            name: histogram_of(recorder, kind, field).to_json()
             for name, kind, field in _HISTOGRAMS
         },
         "provenance": (
@@ -78,13 +95,13 @@ def make_obs_artifact(
         ),
         # Chrome trace-event view: makes the artifact itself loadable
         # in Perfetto / chrome://tracing (extra keys are ignored there).
-        **to_perfetto(recorder.events),
+        **perfetto_view(recorder),
     }
     if n_trefi is not None and t_refi_ns is not None:
         artifact["series"] = {
             "n_trefi": n_trefi,
             "t_refi_ns": t_refi_ns,
-            **per_trefi_series(recorder.events, n_trefi, t_refi_ns),
+            **per_trefi_series(recorder, n_trefi, t_refi_ns),
         }
     return artifact
 

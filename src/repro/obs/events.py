@@ -31,7 +31,7 @@ kind            emitted by / meaning
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Registered event kinds, in display order (Perfetto track order).
 EVENT_KINDS: Tuple[str, ...] = (
@@ -44,6 +44,12 @@ EVENT_KINDS: Tuple[str, ...] = (
     "grant",
     "complete",
 )
+
+#: Kind -> its code, the kind's index in :data:`EVENT_KINDS` (and its
+#: Perfetto track id). Recorders store codes, not kind strings.
+KIND_CODE: Dict[str, int] = {
+    kind: code for code, kind in enumerate(EVENT_KINDS)
+}
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,14 @@ Two reductions of the raw events:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.events import TraceEvent
+from repro.obs.events import KIND_CODE, TraceEvent
+from repro.obs.recorder import TraceRecorder
+
+#: What the reductions accept: a recorder or its events.
+Events = Union[TraceRecorder, Iterable[TraceEvent]]
 
 
 class LogHistogram:
@@ -137,23 +142,36 @@ class LogHistogram:
                 f"min={self.min_value}, max={self.max_value})")
 
 
-def histogram_of(events: Iterable[TraceEvent], kind: str,
+def _recorder(events: Events) -> TraceRecorder:
+    if isinstance(events, TraceRecorder):
+        return events
+    return TraceRecorder.of(events)
+
+
+def histogram_of(events: Events, kind: str,
                  field: str = "value") -> LogHistogram:
-    """Histogram one field of every event of ``kind``."""
+    """Histogram one field of every event of ``kind``.
+
+    ``events`` is a recorder (read column by column) or an iterable of
+    :class:`~repro.obs.events.TraceEvent`.
+    """
+    recorder = _recorder(events)
+    code = KIND_CODE.get(kind)
     hist = LogHistogram()
-    for event in events:
-        if event.kind == kind:
-            hist.add(getattr(event, field))
+    hist.add_many(compress(getattr(recorder, field),
+                           [c == code for c in recorder.codes]))
     return hist
 
 
-def per_trefi_series(events: Iterable[TraceEvent], n_trefi: int,
+def per_trefi_series(events: Events, n_trefi: int,
                      t_refi_ns: float) -> Dict[str, List[float]]:
     """Per-tREFI time series from an event stream.
 
-    Each event contributes to the window its start time falls in
-    (events at or past the horizon fold into the last window — the
-    end-of-run flush can finish an episode slightly past it). Series:
+    ``events`` is a recorder (read column by column) or an iterable of
+    :class:`~repro.obs.events.TraceEvent`. Each event contributes to
+    the window its start time falls in (events at or past the horizon
+    fold into the last window — the end-of-run flush can finish an
+    episode slightly past it). Series:
 
     * ``alerts`` / ``refs`` — event counts per window;
     * ``alert_stall_ns`` — summed ALERT window+stall time, attributed
@@ -168,6 +186,7 @@ def per_trefi_series(events: Iterable[TraceEvent], n_trefi: int,
         raise ValueError("n_trefi must be at least 1")
     if t_refi_ns <= 0:
         raise ValueError("t_refi_ns must be positive")
+    recorder = _recorder(events)
     alerts = [0.0] * n_trefi
     refs = [0.0] * n_trefi
     alert_stall = [0.0] * n_trefi
@@ -175,22 +194,26 @@ def per_trefi_series(events: Iterable[TraceEvent], n_trefi: int,
     queue_stall = [0.0] * n_trefi
     occupancy = [0.0] * n_trefi
     last = n_trefi - 1
-    for event in events:
-        window = int(event.ts_ns // t_refi_ns)
+    alert, ref, act_burst, queue_stall_kind, queue_issue = (
+        KIND_CODE[kind] for kind in
+        ("alert", "ref", "act-burst", "queue-stall", "queue-issue")
+    )
+    for code, ts_ns, dur_ns, value in zip(recorder.codes, recorder.ts_ns,
+                                          recorder.dur_ns, recorder.value):
+        window = int(ts_ns // t_refi_ns)
         if window > last:
             window = last
-        kind = event.kind
-        if kind == "alert":
+        if code == alert:
             alerts[window] += 1
-            alert_stall[window] += event.dur_ns
-        elif kind == "ref":
+            alert_stall[window] += dur_ns
+        elif code == ref:
             refs[window] += 1
-        elif kind == "act-burst":
-            acts[window] += event.value
-        elif kind == "queue-stall":
-            queue_stall[window] += event.dur_ns
-        elif kind == "queue-issue":
-            occupancy[window] += event.value / t_refi_ns
+        elif code == act_burst:
+            acts[window] += value
+        elif code == queue_stall_kind:
+            queue_stall[window] += dur_ns
+        elif code == queue_issue:
+            occupancy[window] += value / t_refi_ns
     return {
         "alerts": alerts,
         "refs": refs,

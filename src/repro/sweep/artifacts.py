@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import time
 from pathlib import Path
@@ -278,9 +279,49 @@ def make_system_artifact(result, git_rev: Optional[str] = None) -> Dict:
 
 
 def write_artifact(path: Path, artifact: Dict) -> None:
+    """Write ``json.dumps(artifact, indent=1, sort_keys=True)`` and a
+    newline to ``path``, atomically.
+
+    A value with a ``json_chunks(indent)`` method is written as the
+    chunks it yields: its own encoding of the plain value it stands
+    for, laid out on a line indented by ``indent`` spaces (see
+    :class:`repro.obs.encoding.JsonRows`). Everything else goes through
+    the stdlib encoder. The text goes to a temporary file beside
+    ``path`` that replaces ``path`` only once complete, so a write
+    that fails or is interrupted leaves an existing file as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(artifact, indent=1, sort_keys=True) + "\n")
+    spliced = []
+
+    def default(value):
+        chunks = getattr(value, "json_chunks", None)
+        if chunks is None:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            f"is not JSON serializable")
+        spliced.append(chunks)
+        # The encoder yields this placeholder's "null" next; it is
+        # replaced by the value's own chunks below.
+        return None
+
+    encoder = json.JSONEncoder(indent=1, sort_keys=True, default=default)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "w") as out:
+            indent = 0
+            for chunk in encoder.iterencode(artifact):
+                if spliced:
+                    out.writelines(spliced.pop()(indent))
+                    continue
+                newline = chunk.rfind("\n")
+                if newline >= 0:
+                    line = chunk[newline + 1:]
+                    indent = len(line) - len(line.lstrip(" "))
+                out.write(chunk)
+            out.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_artifact(path: Path, schema: str = SCHEMA) -> Dict:

@@ -8,20 +8,29 @@ the same run without one — across every mitigation policy, kernel
 backend, and scheduling policy — and the ALERT events must reconcile
 exactly with the run's ``alerts`` counter (every execution path
 funnels ALERT assertion through ``_maybe_assert_alert``, the single
-emission site).
+emission site). The attached recorder is the columnar one, and the
+artifact of a real traced run writes as the stdlib encoding of its
+plain-list form.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 from hypothesis import given, settings, strategies as st
 
 from repro.mc.sched import sched_kinds
 from repro.mitigations.registry import PolicySpec, policy_kinds
-from repro.obs import EVENT_KINDS, TraceRecorder
+from repro.obs import (
+    EVENT_KINDS,
+    TraceRecorder,
+    make_obs_artifact,
+    to_perfetto,
+)
 from repro.sim.backend import BACKEND_NAMES
 from repro.sim.mc import McRunConfig, run_mc
+from repro.sweep.artifacts import write_artifact
 from repro.sweep.mc_spec import HAMMER_WORKLOAD
 from repro.system import ClientSpec, SystemRunConfig, run_system
 
@@ -48,7 +57,8 @@ def _config(policy: str, backend: str, scheduler: str) -> McRunConfig:
     scheduler=st.sampled_from(sorted(sched_kinds())),
 )
 @settings(max_examples=20, deadline=None)
-def test_recorder_never_changes_mc_results(policy, backend, scheduler):
+def test_recorder_never_changes_mc_results(tmp_path_factory, policy,
+                                           backend, scheduler):
     config = _config(policy, backend, scheduler)
     plain = run_mc(config)
     recorder = TraceRecorder()
@@ -57,6 +67,20 @@ def test_recorder_never_changes_mc_results(policy, backend, scheduler):
     assert dataclasses.asdict(traced) == dataclasses.asdict(plain)
     assert recorder.count("alert") == traced.alerts
     assert set(event.kind for event in recorder.events) <= set(EVENT_KINDS)
+
+    # Every event landed in every column of the columnar recorder.
+    assert len(recorder) > 0
+    assert {len(column) for column in recorder.columns()} == {len(recorder)}
+    artifact = make_obs_artifact(recorder, n_trefi=config.n_trefi,
+                                 t_refi_ns=config.timing.t_refi,
+                                 provenance={"backend": backend})
+    events = list(recorder.events)
+    reference = dict(artifact, events=[event.to_row() for event in events],
+                     traceEvents=to_perfetto(events)["traceEvents"])
+    path = tmp_path_factory.getbasetemp() / "null-identity.obs.json"
+    write_artifact(path, artifact)
+    assert path.read_text() == json.dumps(reference, indent=1,
+                                          sort_keys=True) + "\n"
 
 
 def test_alert_events_reconcile_under_pressure():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     EVENT_KINDS,
@@ -20,7 +22,8 @@ from repro.obs import (
     write_perfetto,
 )
 from repro.obs.events import TraceEvent
-from repro.obs.perfetto import _KIND_TID
+from repro.obs.encoding import _BLOCK
+from repro.obs.events import KIND_CODE
 from repro.sweep.artifacts import write_artifact
 
 
@@ -113,7 +116,7 @@ def test_perfetto_export_schema():
     assert admit["ph"] == "i" and admit["s"] == "t"
     for event in real:
         assert event["pid"] in (0, 1)
-        assert event["tid"] == _KIND_TID[event["name"]]
+        assert event["tid"] == KIND_CODE[event["name"]]
         assert set(event["args"]) == {"bank", "client", "value"}
     # Every (sub, kind) lane is named for the viewer.
     names = {e["name"] for e in meta}
@@ -132,3 +135,87 @@ def test_perfetto_embedded_in_artifact_and_file_export(tmp_path):
     loaded = json.loads(out.read_text())
     assert set(loaded) == {"traceEvents", "displayTimeUnit"}
     assert len(loaded["traceEvents"]) == len(artifact["traceEvents"])
+
+
+def test_emit_rejects_unregistered_kinds():
+    recorder = TraceRecorder()
+    with pytest.raises(ValueError, match="'queue-admitt'"):
+        recorder.emit("queue-admitt", 10.0)
+    assert len(recorder) == 0
+    assert recorder.counts() == {kind: 0 for kind in EVENT_KINDS}
+
+
+def _plain_reference(artifact, events):
+    """The artifact as plain lists and dicts, the stdlib's way."""
+    return dict(
+        artifact,
+        events=[event.to_row() for event in events],
+        traceEvents=to_perfetto(events)["traceEvents"],
+    )
+
+
+def _assert_written_as_stdlib(path, recorder, events):
+    artifact = make_obs_artifact(recorder, meta={"note": "nan%inf"},
+                                 provenance={"backend": "pure"})
+    reference = _plain_reference(artifact, events)
+    write_artifact(path, artifact)
+    assert path.read_bytes() == (
+        json.dumps(reference, indent=1, sort_keys=True) + "\n"
+    ).encode()
+    return artifact, reference
+
+
+_int64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, -1.5, 1e300, -1e-300,
+                     math.nan, math.inf, -math.inf]),
+)
+_events = st.lists(
+    st.builds(
+        TraceEvent,
+        kind=st.sampled_from(EVENT_KINDS),
+        ts_ns=_floats,
+        dur_ns=st.one_of(st.just(0.0), _floats),
+        sub=st.one_of(st.integers(0, 3), _int64),
+        bank=st.one_of(st.integers(-1, 15), _int64),
+        client=st.one_of(st.integers(-1, 3), _int64),
+        value=_floats,
+    ),
+    max_size=40,
+)
+
+
+@given(events=_events)
+@settings(max_examples=300, deadline=None)
+def test_written_artifact_is_the_stdlib_encoding(tmp_path_factory, events):
+    """The templated writer's bytes equal the stdlib encoding of the
+    same artifact built from plain lists and dicts."""
+    recorder = TraceRecorder()
+    for event in events:
+        recorder.emit(event.kind, event.ts_ns, event.dur_ns, event.sub,
+                      event.bank, event.client, event.value)
+    path = tmp_path_factory.getbasetemp() / "differential.obs.json"
+    artifact, reference = _assert_written_as_stdlib(path, recorder, events)
+    assert len(artifact["events"]) == len(reference["events"])
+    if not any(math.isnan(x) for event in events
+               for x in (event.ts_ns, event.dur_ns, event.value)):
+        # NaN != NaN, so only NaN-free views can compare equal.
+        assert artifact["events"] == reference["events"]
+        assert artifact["traceEvents"] == reference["traceEvents"]
+        assert list(artifact["events"]) == reference["events"]
+        if events:
+            assert artifact["events"][-1] == reference["events"][-1]
+            assert artifact["traceEvents"][0] == reference["traceEvents"][0]
+
+
+def test_written_artifact_spans_encoding_blocks(tmp_path):
+    """Several encoding blocks, one non-finite row in a later block."""
+    recorder = TraceRecorder()
+    for i in range(2 * _BLOCK + 5):
+        kind = EVENT_KINDS[i % len(EVENT_KINDS)]
+        value = math.inf if i == _BLOCK + 7 else i / 7.0
+        recorder.emit(kind, i * 1.25, float(i % 3), sub=i % 2,
+                      bank=i % 4, value=value)
+    _assert_written_as_stdlib(tmp_path / "t.json", recorder,
+                              list(recorder.events))

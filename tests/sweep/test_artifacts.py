@@ -46,6 +46,30 @@ class TestArtifactSchema:
         write_artifact(path, art)
         assert load_artifact(path) == art
 
+    def test_write_is_the_stdlib_encoding(self, sweep_result, tmp_path):
+        art = make_artifact(sweep_result, git_rev="abc1234")
+        path = tmp_path / "BENCH_sweep.json"
+        write_artifact(path, art)
+        assert path.read_text() == json.dumps(art, indent=1,
+                                              sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("late", ["unserializable", "raising chunks"])
+    def test_failed_write_keeps_destination(self, tmp_path, late):
+        class Raising:
+            def json_chunks(self, indent):
+                yield "["
+                raise RuntimeError("interrupted")
+
+        path = tmp_path / "BENCH_sweep.json"
+        write_artifact(path, {"schema": SCHEMA, "points": {}})
+        before = path.read_bytes()
+        value = object() if late == "unserializable" else Raising()
+        # Sorted last, so the write fails after "a" reached the file.
+        with pytest.raises((TypeError, RuntimeError)):
+            write_artifact(path, {"a": list(range(1000)), "z": value})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "something/else"}))
