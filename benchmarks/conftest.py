@@ -42,9 +42,7 @@ from repro.report.pipeline import (
 )
 from repro.report.pipeline import run_figure as _run_figure
 from repro.sweep.artifacts import git_revision, utc_now
-from repro.sweep.runner import DEFAULT_CACHE_DIR, SweepResult, run_sweep
 from repro.sweep.spec import SWEEP_WORKLOADS as _SWEEP_WORKLOADS
-from repro.sweep.spec import SweepSpec
 from repro.workloads.profiles import TABLE4_PROFILES, WorkloadProfile
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -55,9 +53,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: RESULT_VERSION constant; bump those whenever simulator, attack, or
 #: evaluator semantics change, or stale points will be replayed.
 CACHE_ROOT = pathlib.Path(__file__).parent.parent / ".repro-cache"
-
-#: Sweep-family cache (kept for the direct sweep-runner benchmarks).
-SWEEP_CACHE_DIR = pathlib.Path(__file__).parent.parent / DEFAULT_CACHE_DIR
 
 FAST = os.environ.get("REPRO_FAST", "") not in ("", "0")
 
@@ -125,11 +120,6 @@ def record_json(request):
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
     return _record
-
-
-def run_grid(spec: SweepSpec) -> SweepResult:
-    """Run a sweep spec with the benchmark-level scale applied."""
-    return run_sweep(spec, jobs=N_JOBS, cache_dir=SWEEP_CACHE_DIR)
 
 
 def sweep_profiles() -> List[WorkloadProfile]:

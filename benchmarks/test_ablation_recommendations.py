@@ -15,21 +15,21 @@ from benchmarks.conftest import CACHE_ROOT, N_JOBS
 from repro.analysis.ratchet_model import ratchet_safe_trh
 from repro.analysis.throughput import continuous_alert_slowdown
 from repro.report.tables import format_table
-from repro.sweep.attack_runner import run_attack_sweep
-from repro.sweep.attack_spec import attack_preset
+from repro.sweep.family import ATTACK_FAMILY
 
 QUEUE_SIZES = [1, 2, 4, 8, 16]
 
 
 def test_ablation_queue_size(benchmark, report):
     def sweep():
-        result = run_attack_sweep(
-            attack_preset("ablation-queue"),
+        result = ATTACK_FAMILY.run(
+            ATTACK_FAMILY.preset("ablation-queue"),
             jobs=N_JOBS,
             cache_dir=CACHE_ROOT / "attack",
         )
         return {
-            r.params["queue_entries"]: r.metrics["acts_on_attack_row"]
+            r.identity["params"]["queue_entries"]:
+                r.metrics["acts_on_attack_row"]
             for r in result.results
         }
 

@@ -2,7 +2,7 @@
 
 Every attack preset (Figure 5, Figure 10, Figure 12/TSA, Figure 13,
 Table 2 feinting, Figure 16 postponement) runs through
-``repro.sweep.attack_runner`` with the shared on-disk point cache and
+the attack sweep family with the shared on-disk point cache and
 must match the committed smoke baselines under
 ``benchmarks/baselines/attack_<preset>.json`` — the same gate CI
 applies via ``repro attack sweep <preset> --check``. The attacks are
@@ -17,44 +17,32 @@ import pathlib
 import pytest
 
 from benchmarks.conftest import N_JOBS
-from repro.sweep.artifacts import (
-    ATTACK_GATED_METRICS,
-    ATTACK_SCHEMA,
-    check_against_baseline,
-    default_baseline_path,
-    make_attack_artifact,
-)
-from repro.sweep.attack_runner import (
-    DEFAULT_ATTACK_CACHE_DIR,
-    run_attack_sweep,
-)
-from repro.sweep.attack_spec import ATTACK_PRESETS, attack_preset
+from repro.sweep.family import ATTACK_FAMILY
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 #: Shared with the `repro attack sweep` CLI when run from the repo root.
-ATTACK_CACHE_DIR = REPO_ROOT / DEFAULT_ATTACK_CACHE_DIR
+ATTACK_CACHE_DIR = REPO_ROOT / ATTACK_FAMILY.default_cache_dir
 
 
-@pytest.mark.parametrize("preset_name", sorted(ATTACK_PRESETS))
+@pytest.mark.parametrize("preset_name", sorted(ATTACK_FAMILY.presets))
 def test_attack_preset_matches_baseline(preset_name, report, record_json):
-    spec = attack_preset(preset_name)
-    result = run_attack_sweep(spec, jobs=N_JOBS, cache_dir=ATTACK_CACHE_DIR)
-    artifact = make_attack_artifact(result)
+    spec = ATTACK_FAMILY.preset(preset_name)
+    result = ATTACK_FAMILY.run(spec, jobs=N_JOBS, cache_dir=ATTACK_CACHE_DIR)
+    artifact = ATTACK_FAMILY.make_artifact(result)
 
-    baseline = default_baseline_path(f"attack_{preset_name}", root=REPO_ROOT)
+    baseline = ATTACK_FAMILY.default_baseline_path(preset_name, root=REPO_ROOT)
     # Zero tolerance: the attacks are deterministic, so the gate is a
     # true bit-identity check, not a drift allowance.
-    ok, problems = check_against_baseline(
+    ok, problems = ATTACK_FAMILY.check_against_baseline(
         artifact, baseline, rtol=0.0, atol=0.0,
-        schema=ATTACK_SCHEMA, gated_metrics=ATTACK_GATED_METRICS,
     )
     assert ok, "\n".join(problems)
 
     lines = [f"Attack sweep {preset_name} — {spec.description}"]
     for point in result.results:
         lines.append(
-            f"  {point.attack:50s} attack-row ACTs "
+            f"  {point.identity['attack']:50s} attack-row ACTs "
             f"{point.metrics.get('acts_on_attack_row', 0.0):6.0f}  "
             f"ALERTs {point.metrics.get('alerts', 0.0):5.0f}"
         )

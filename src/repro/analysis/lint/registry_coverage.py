@@ -161,6 +161,7 @@ def collect_state(root: Path) -> Dict[str, object]:
         families[name] = {
             "source": family_source,
             "description": family.description,
+            "list_title": family.list_title,
             "presets": {
                 preset: {
                     "baseline": rel_path(
@@ -188,7 +189,6 @@ def collect_state(root: Path) -> Dict[str, object]:
         "figures": figures,
         "cli_choices": _parser_choices(cli.build_parser()),
         "preset_kind_refs": _preset_kind_refs(family_module.FAMILIES),
-        "list_titles": set(cli._LIST_TITLES),
     }
 
 
@@ -202,7 +202,6 @@ def coverage_findings(state: Dict[str, object],
 
     cli_choices: Set[str] = set(state.get("cli_choices", ()))
     kind_refs: Set[str] = set(state.get("preset_kind_refs", ()))
-    list_titles: Set[str] = set(state.get("list_titles", ()))
 
     for label, registry in sorted(state.get("registries", {}).items()):
         source = registry["source"]
@@ -226,11 +225,11 @@ def coverage_findings(state: Dict[str, object],
             yield Finding(NAME, source, anchored(source, name), 1, (
                 f"sweep family '{name}' has no description"
             ))
-        if name not in list_titles:
+        if not str(family.get("list_title", "")).strip():
             yield Finding(NAME, source, anchored(source, name), 1, (
                 f"sweep family '{name}' has no CLI listing title "
-                "(cli._LIST_TITLES); its list-presets command cannot "
-                "render"
+                "(SweepFamily.list_title); its list-presets command "
+                "cannot render"
             ))
         for preset, info in sorted(family["presets"].items()):
             if not info["exists"]:

@@ -88,12 +88,7 @@ from repro.sim.mc import McRunConfig, run_mc, run_mc_trace
 from repro.sim.perf import RunConfig, run_trace, run_workload
 from repro.workloads.requests import ARRIVAL_PROCESSES, McWorkload
 from repro.trace import AddressTrace, load_trace
-from repro.sweep.artifacts import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    git_toplevel,
-    write_artifact,
-)
+from repro.sweep.artifacts import DEFAULT_ATOL, DEFAULT_RTOL, write_artifact
 from repro.sweep.family import (
     ATTACK_FAMILY,
     MC_FAMILY,
@@ -111,7 +106,7 @@ from repro.obs import (
     summarize_obs,
     write_perfetto,
 )
-from repro.sweep.runner import stderr_progress
+from repro.sweep.runner import SweepPointError, stderr_progress
 from repro.system import ClientSpec, STREAMABLE_ATTACKS, SystemRunConfig, run_system
 from repro.workloads.profiles import TABLE4_PROFILES, profile_by_name
 
@@ -232,44 +227,6 @@ def _attack_overrides(spec, args: argparse.Namespace):
     return spec.with_overrides(seed=args.seed)
 
 
-def _render_attack_table(result, args: argparse.Namespace) -> None:
-    spec = result.spec
-
-    def tput_loss(metrics):
-        # Absence of the metric is not a measured zero: only the
-        # throughput attacks (kernels, TSA) report a loss at all.
-        loss = metrics.get("detail:throughput_loss")
-        return "-" if loss is None else f"{loss * 100:.1f}%"
-
-    rows = [
-        (
-            r.attack,
-            r.figure,
-            f"{r.metrics.get('acts_on_attack_row', 0.0):.0f}",
-            f"{r.metrics.get('max_danger', 0.0):.0f}",
-            f"{r.metrics.get('alerts', 0.0):.0f}",
-            tput_loss(r.metrics),
-            "hit" if r.cached else f"{r.wall_clock_s:.1f}s",
-        )
-        for r in result.results
-    ]
-    print(
-        format_table(
-            ["attack", "paper", "attack-row ACTs", "max danger",
-             "ALERTs", "tput loss", "time"],
-            rows,
-            title=f"Attack sweep {spec.name} (jobs={args.jobs}, "
-            f"{result.cache_hits} cached)",
-        )
-    )
-
-
-def _cmd_attack_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        ATTACK_FAMILY, args, _attack_overrides, _render_attack_table
-    )
-
-
 def _cmd_perf(args: argparse.Namespace) -> int:
     if args.list_policies:
         rows = [
@@ -372,51 +329,6 @@ def _perf_overrides(spec, args: argparse.Namespace):
     workloads = tuple(args.workloads.split(",")) if args.workloads else None
     return spec.with_overrides(
         n_trefi=args.trefi, seed=args.seed, workloads=workloads
-    )
-
-
-def _render_perf_table(result, args: argparse.Namespace) -> None:
-    spec = result.spec
-    rows = [
-        (
-            r.workload,
-            r.policy,
-            r.ath,
-            r.eth,
-            f"L{r.abo_level}",
-            f"{r.metrics['slowdown'] * 100:.3f}%",
-            f"{r.metrics['alerts_per_trefi']:.4f}",
-            "hit" if r.cached else f"{r.wall_clock_s:.1f}s",
-        )
-        for r in result.results
-    ]
-    agg = result.aggregates()
-    rows.append(
-        (
-            "AVERAGE",
-            "",
-            "",
-            "",
-            "",
-            f"{agg['avg_slowdown'] * 100:.3f}%",
-            f"{agg['avg_alerts_per_trefi']:.4f}",
-            f"{result.wall_clock_s:.1f}s",
-        )
-    )
-    print(
-        format_table(
-            ["workload", "policy", "ATH", "ETH", "level",
-             "slowdown", "ALERT/tREFI", "time"],
-            rows,
-            title=f"Sweep {spec.name} (n_trefi={spec.n_trefi}, "
-            f"jobs={args.jobs}, {result.cache_hits} cached)",
-        )
-    )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        PERF_FAMILY, args, _perf_overrides, _render_perf_table
     )
 
 
@@ -699,6 +611,10 @@ def _cmd_system_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SweepPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # A shard rejecting its config is a usage error too.
+        return 2 if isinstance(exc.__cause__, ValueError) else 1
     _print_system_result(result)
     if recorder is not None:
         _emit_obs(args, recorder, n_trefi=config.n_trefi,
@@ -713,133 +629,11 @@ def _scaled_overrides(spec, args: argparse.Namespace):
     return spec.with_overrides(n_trefi=args.trefi, seed=args.seed)
 
 
-def _render_mc_table(result, args: argparse.Namespace) -> None:
-    spec = result.spec
-    rows = [
-        (
-            r.workload,
-            r.policy,
-            f"L{r.abo_level}",
-            f"{r.scheduler}/{r.row_policy}",
-            f"{r.metrics['read_p50_ns']:.0f}",
-            f"{r.metrics['read_p99_ns']:.0f}",
-            f"{r.metrics['achieved_gbps']:.2f}",
-            f"{r.metrics['alerts_per_trefi']:.3f}",
-            "hit" if r.cached else f"{r.wall_clock_s:.1f}s",
-        )
-        for r in result.results
-    ]
-    print(
-        format_table(
-            ["workload", "policy", "level", "MC", "p50 ns", "p99 ns",
-             "GB/s", "ALERT/tREFI", "time"],
-            rows,
-            title=f"MC sweep {spec.name} (n_trefi={spec.n_trefi}, "
-            f"jobs={args.jobs}, {result.cache_hits} cached)",
-        )
-    )
-
-
-def _cmd_mc_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        MC_FAMILY, args, _scaled_overrides, _render_mc_table
-    )
-
-
-def _cmd_mc_list(_args: argparse.Namespace) -> int:
-    return _list_family_presets(MC_FAMILY)
-
-
 def _model_overrides(spec, args: argparse.Namespace):
     # Model points are scale-free except workload-stats; no seed axis.
     if args.trefi is not None and args.trefi <= 0:
         raise ValueError("--trefi must be positive")
     return spec.with_overrides(n_trefi=args.trefi)
-
-
-def _render_model_table(result, args: argparse.Namespace) -> None:
-    spec = result.spec
-
-    def param_summary(params):
-        if not params:
-            return "-"
-        return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-
-    rows = [
-        (
-            r.kind,
-            param_summary(r.params),
-            len(r.metrics),
-            "hit" if r.cached else f"{r.wall_clock_s:.1f}s",
-        )
-        for r in result.results
-    ]
-    print(
-        format_table(
-            ["kind", "parameters", "metrics", "time"],
-            rows,
-            title=f"Model sweep {spec.name} (jobs={args.jobs}, "
-            f"{result.cache_hits} cached)",
-        )
-    )
-
-
-def _cmd_model_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        MODEL_FAMILY, args, _model_overrides, _render_model_table
-    )
-
-
-def _cmd_model_list(_args: argparse.Namespace) -> int:
-    return _list_family_presets(MODEL_FAMILY)
-
-
-def _render_system_table(result, args: argparse.Namespace) -> None:
-    spec = result.spec
-    rows = [
-        (
-            r.scenario,
-            len(r.clients),
-            r.policy,
-            f"ch{r.channels}",
-            f"{r.metrics['read_p50_ns']:.0f}",
-            f"{r.metrics['read_p99_ns']:.0f}",
-            f"{r.metrics['achieved_gbps']:.2f}",
-            f"{r.metrics['alerts']:.0f}",
-            "hit" if r.cached else f"{r.wall_clock_s:.1f}s",
-        )
-        for r in result.results
-    ]
-    print(
-        format_table(
-            ["scenario", "clients", "policy", "channels", "p50 ns",
-             "p99 ns", "GB/s", "ALERTs", "time"],
-            rows,
-            title=f"System sweep {spec.name} (jobs={args.jobs}, "
-            f"{result.cache_hits} cached)",
-        )
-    )
-
-
-def _cmd_system_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        SYSTEM_FAMILY, args, _scaled_overrides, _render_system_table
-    )
-
-
-def _cmd_system_list(_args: argparse.Namespace) -> int:
-    return _list_family_presets(SYSTEM_FAMILY)
-
-
-#: Listing titles of the per-family ``list-presets`` commands (the
-#: perf/attack/mc spellings predate the registry and stay stable).
-_LIST_TITLES = {
-    "sweep": "Sweep presets",
-    "attack": "Attack sweep presets",
-    "model": "Model sweep presets",
-    "mc": "Memory-controller sweep presets",
-    "system": "System sweep presets",
-}
 
 
 def _list_family_presets(family: SweepFamily) -> int:
@@ -848,8 +642,35 @@ def _list_family_presets(family: SweepFamily) -> int:
         for spec in family.presets.values()
     ]
     print(format_table(["preset", "points", "description"], rows,
-                       title=_LIST_TITLES[family.name]))
+                       title=family.list_title))
     return 0
+
+
+def _print_sweep_table(result, jobs: int) -> None:
+    """Print a sweep's summary table from its family's columns."""
+    family, spec = result.family, result.spec
+    columns = family.columns
+    rows = [
+        [column.cell(r) for column in columns]
+        + ["hit" if r.cached else f"{r.wall_clock_s:.1f}s"]
+        for r in result.results
+    ]
+    if any(column.footer for column in columns):
+        aggregates = result.aggregates()
+        rows.append(
+            [column.footer(aggregates) if column.footer else ""
+             for column in columns]
+            + [f"{result.wall_clock_s:.1f}s"]
+        )
+    # Families with a spec-level window length show it in the title.
+    scale = (f"n_trefi={spec.n_trefi}, "
+             if "n_trefi" in family.top_fields(spec) else "")
+    print(format_table(
+        [column.header for column in columns] + ["time"],
+        rows,
+        title=f"{family.table_title} {spec.name} ({scale}jobs={jobs}, "
+        f"{result.cache_hits} cached)",
+    ))
 
 
 def _resolve_cache_dir(
@@ -873,16 +694,14 @@ def _run_family_sweep(
     family: SweepFamily,
     args: argparse.Namespace,
     apply_overrides,
-    render_table,
 ) -> int:
     """The shared ``<family> sweep`` command body.
 
     Everything family-specific arrives through the registry entry
-    (preset table, runner, schema, gated metrics, baseline naming) and
-    two callables: ``apply_overrides(spec, args)`` applying the
-    family's scale/subset flags (raising ``ValueError``/``KeyError``
-    on bad usage) and ``render_table(result, args)`` printing the
-    family's summary table.
+    (preset table, executor, table columns, schema, gated metrics,
+    baseline naming) and ``apply_overrides(spec, args)``, which applies
+    the family's scale/subset flags (raising ``ValueError``/
+    ``KeyError`` on bad usage).
     """
     if args.list:
         return _list_family_presets(family)
@@ -898,13 +717,17 @@ def _run_family_sweep(
         print(f"error: {message}", file=sys.stderr)
         return 2
 
-    result = family.run(
-        spec,
-        jobs=args.jobs,
-        cache_dir=_resolve_cache_dir(args, family),
-        progress=stderr_progress(args.quiet),
-    )
-    render_table(result, args)
+    try:
+        result = family.run(
+            spec,
+            jobs=args.jobs,
+            cache_dir=_resolve_cache_dir(args, family),
+            progress=stderr_progress(args.quiet),
+        )
+    except SweepPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _print_sweep_table(result, args.jobs)
 
     # Provenance is opt-in (--obs): without it the artifact stays
     # byte-identical run to run, and the gate never sees the block
@@ -936,19 +759,8 @@ def _emit_artifact_and_gate(
     write_artifact(out_path, artifact)
     print(f"artifact: {out_path}", file=sys.stderr)
 
-    if args.baseline:
-        baseline = Path(args.baseline)
-    else:
-        # Committed baselines live in the repo; anchor at the git
-        # toplevel so the installed `repro` script finds them from
-        # any working directory inside the checkout.
-        baseline = family.default_baseline_path(preset_name)
-        if not baseline.is_file():
-            toplevel = git_toplevel()
-            if toplevel is not None:
-                baseline = family.default_baseline_path(
-                    preset_name, root=toplevel
-                )
+    baseline = (Path(args.baseline) if args.baseline
+                else family.resolve_baseline_path(preset_name))
     if args.write_baseline:
         write_artifact(baseline, artifact)
         print(f"baseline written: {baseline}", file=sys.stderr)
@@ -1195,10 +1007,12 @@ def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
 def _add_sweep_common_flags(
     parser: argparse.ArgumentParser,
     family: SweepFamily,
+    apply_overrides,
     preset_help: str = "preset name (see --list-presets)",
     list_help: Optional[str] = None,
 ) -> None:
-    """Flag cluster shared by every ``<family> sweep`` command.
+    """Flag cluster and handler shared by every ``<family> sweep``
+    command (see :func:`_run_family_sweep` for ``apply_overrides``).
 
     All five families expose identical orchestration/gating semantics
     (jobs, seed, artifact output, baseline check/write, tolerances,
@@ -1256,6 +1070,8 @@ def _add_sweep_common_flags(
                         "statistics, per-run timing) into the "
                         "artifact's provenance block")
     _add_backend_flag(parser)
+    parser.set_defaults(func=lambda args: _run_family_sweep(
+        family, args, apply_overrides))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1306,8 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a paper security-figure attack grid in parallel",
     )
-    _add_sweep_common_flags(attack_sweep, ATTACK_FAMILY)
-    attack_sweep.set_defaults(func=_cmd_attack_sweep)
+    _add_sweep_common_flags(attack_sweep, ATTACK_FAMILY, _attack_overrides)
 
     attack_list = attack_sub.add_parser(
         "list", help="list the registered attacks"
@@ -1417,15 +1232,14 @@ def build_parser() -> argparse.ArgumentParser:
     mc_sweep.add_argument("--trefi", type=int, default=None,
                           help="override simulated tREFI intervals")
     _add_sweep_common_flags(
-        mc_sweep, MC_FAMILY,
+        mc_sweep, MC_FAMILY, _scaled_overrides,
         preset_help="preset name (see `repro mc list-presets`)",
     )
-    mc_sweep.set_defaults(func=_cmd_mc_sweep)
 
     mc_list = mc_sub.add_parser(
         "list-presets", help="list the mc sweep presets"
     )
-    mc_list.set_defaults(func=_cmd_mc_list)
+    mc_list.set_defaults(func=lambda _args: _list_family_presets(MC_FAMILY))
 
     mc_list_scheds = mc_sub.add_parser(
         "list-scheds",
@@ -1509,15 +1323,16 @@ def build_parser() -> argparse.ArgumentParser:
     system_sweep.add_argument("--trefi", type=int, default=None,
                               help="override simulated tREFI intervals")
     _add_sweep_common_flags(
-        system_sweep, SYSTEM_FAMILY,
+        system_sweep, SYSTEM_FAMILY, _scaled_overrides,
         preset_help="preset name (see `repro system list-presets`)",
     )
-    system_sweep.set_defaults(func=_cmd_system_sweep)
 
     system_list = system_sub.add_parser(
         "list-presets", help="list the system sweep presets"
     )
-    system_list.set_defaults(func=_cmd_system_list)
+    system_list.set_defaults(
+        func=lambda _args: _list_family_presets(SYSTEM_FAMILY)
+    )
 
     sweep = sub.add_parser(
         "sweep",
@@ -1529,10 +1344,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workloads", default=None,
                        help="comma-separated workload subset override")
     _add_sweep_common_flags(
-        sweep, PERF_FAMILY,
+        sweep, PERF_FAMILY, _perf_overrides,
         list_help="list available presets and exit",
     )
-    sweep.set_defaults(func=_cmd_sweep)
 
     report = sub.add_parser(
         "report",
@@ -1616,15 +1430,16 @@ def build_parser() -> argparse.ArgumentParser:
                              help="override simulated tREFI intervals "
                              "(models that take an interval count)")
     _add_sweep_common_flags(
-        model_sweep, MODEL_FAMILY,
+        model_sweep, MODEL_FAMILY, _model_overrides,
         preset_help="preset name (see `repro model list-presets`)",
     )
-    model_sweep.set_defaults(func=_cmd_model_sweep)
 
     model_list = model_sub.add_parser(
         "list-presets", help="list the model sweep presets"
     )
-    model_list.set_defaults(func=_cmd_model_list)
+    model_list.set_defaults(
+        func=lambda _args: _list_family_presets(MODEL_FAMILY)
+    )
 
     workloads = sub.add_parser("workloads", help="list Table 4 profiles")
     workloads.set_defaults(func=_cmd_workloads)

@@ -1,7 +1,7 @@
 """The paper-report pipeline: registry -> cached artifacts -> report.
 
 Orchestrates the figure registry (:mod:`repro.report.figures`) over the
-three sweep families. For each requested figure it resolves the source
+sweep-family registry. For each requested figure it resolves the source
 presets, executes them through the shared ``run_cached_grid`` cache/pool
 core (one artifact per preset per run, shared between figures that
 reference the same preset), applies the figure's extraction, and
@@ -27,32 +27,16 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.report.figures import FIGURES, FigureSpec, SourceRef, figure
 from repro.report.tables import format_table
 from repro.sweep.artifacts import (
-    ATTACK_GATED_METRICS,
-    ATTACK_SCHEMA,
     BASELINE_DIR,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    GATED_METRICS,
-    MODEL_GATED_METRICS,
-    MODEL_SCHEMA,
-    SCHEMA,
-    SYSTEM_GATED_METRICS,
-    SYSTEM_SCHEMA,
-    check_against_baseline,
-    default_baseline_path,
     git_revision,
     git_toplevel,
     utc_now,
     write_artifact,
 )
-from repro.sweep.attack_runner import run_attack_sweep
-from repro.sweep.attack_spec import attack_preset
-from repro.sweep.model_runner import run_model_sweep
-from repro.sweep.model_spec import model_preset
-from repro.sweep.runner import ProgressFn, run_sweep
-from repro.sweep.spec import preset as sweep_preset
-from repro.sweep.system_runner import run_system_sweep
-from repro.sweep.system_spec import system_preset
+from repro.sweep.family import get_family
+from repro.sweep.runner import CACHE_ROOT, ProgressFn
 
 #: Schema of the machine-readable report artifact.
 REPORT_SCHEMA = "repro.report/v1"
@@ -71,7 +55,7 @@ class ReportOptions:
     jobs: int = 1
     #: Root of the per-family point caches (``<root>/{sweep,attack,
     #: model}``); ``None`` disables caching.
-    cache_root: Optional[Path] = Path(".repro-cache")
+    cache_root: Optional[Path] = CACHE_ROOT
     #: Optional workload subset (REPRO_FAST benchmarks); ``None`` runs
     #: each preset's full workload list.
     workloads: Optional[Tuple[str, ...]] = None
@@ -109,37 +93,20 @@ class FigureResult:
         return not self.problems
 
 
-def _run_sweep_source(ref: SourceRef, options: ReportOptions) -> Dict:
-    from repro.sweep.artifacts import make_artifact
-
-    spec = sweep_preset(ref.preset).with_overrides(
+def _sweep_source(ref: SourceRef, options: ReportOptions):
+    return get_family("sweep").preset(ref.preset).with_overrides(
         n_trefi=options.n_trefi, workloads=options.workloads
     )
-    result = run_sweep(
-        spec,
-        jobs=options.jobs,
-        cache_dir=options.cache_dir("sweep"),
-        progress=options.progress,
+
+
+def _attack_source(ref: SourceRef, options: ReportOptions):
+    return get_family("attack").preset(ref.preset)
+
+
+def _model_source(ref: SourceRef, options: ReportOptions):
+    spec = get_family("model").preset(ref.preset).with_overrides(
+        n_trefi=options.n_trefi
     )
-    return make_artifact(result)
-
-
-def _run_attack_source(ref: SourceRef, options: ReportOptions) -> Dict:
-    from repro.sweep.artifacts import make_attack_artifact
-
-    result = run_attack_sweep(
-        attack_preset(ref.preset),
-        jobs=options.jobs,
-        cache_dir=options.cache_dir("attack"),
-        progress=options.progress,
-    )
-    return make_attack_artifact(result)
-
-
-def _run_model_source(ref: SourceRef, options: ReportOptions) -> Dict:
-    from repro.sweep.artifacts import make_model_artifact
-
-    spec = model_preset(ref.preset).with_overrides(n_trefi=options.n_trefi)
     if options.workloads is not None:
         spec = dataclasses.replace(
             spec,
@@ -150,62 +117,45 @@ def _run_model_source(ref: SourceRef, options: ReportOptions) -> Dict:
                 or m.param_dict().get("workload") in options.workloads
             ),
         )
-    result = run_model_sweep(
-        spec,
-        jobs=options.jobs,
-        cache_dir=options.cache_dir("model"),
-        progress=options.progress,
-    )
-    return make_model_artifact(result)
+    return spec
 
 
-def _run_system_source(ref: SourceRef, options: ReportOptions) -> Dict:
-    from repro.sweep.artifacts import make_system_artifact
-
+def _system_source(ref: SourceRef, options: ReportOptions):
     # Scenarios pin their own scale; only an explicit non-smoke
     # ``n_trefi`` rescales them (the committed baselines are generated
     # at the scenarios' native scale).
-    spec = system_preset(ref.preset)
+    spec = get_family("system").preset(ref.preset)
     if options.n_trefi != SMOKE_N_TREFI:
         spec = spec.with_overrides(n_trefi=options.n_trefi)
-    result = run_system_sweep(
-        spec,
-        jobs=options.jobs,
-        cache_dir=options.cache_dir("system"),
-        progress=options.progress,
-    )
-    return make_system_artifact(result)
+    return spec
 
 
-#: family -> (source runner, baseline file stem, schema, gated metrics).
-_FAMILIES = {
-    "sweep": (_run_sweep_source, "{0}", SCHEMA, GATED_METRICS),
-    "attack": (_run_attack_source, "attack_{0}", ATTACK_SCHEMA,
-               ATTACK_GATED_METRICS),
-    "model": (_run_model_source, "model_{0}", MODEL_SCHEMA,
-              MODEL_GATED_METRICS),
-    "system": (_run_system_source, "system_{0}", SYSTEM_SCHEMA,
-               SYSTEM_GATED_METRICS),
+#: Source family -> ``(ref, options) -> spec``: how a report run
+#: scales each family's presets.
+_SOURCE_SPECS = {
+    "sweep": _sweep_source,
+    "attack": _attack_source,
+    "model": _model_source,
+    "system": _system_source,
 }
 
 
-def baseline_name(ref: SourceRef) -> str:
-    """Stem of the committed baseline file for one source preset."""
-    return _FAMILIES[ref.family][1].format(ref.preset)
+def _run_source(ref: SourceRef, options: ReportOptions) -> Dict:
+    family = get_family(ref.family)
+    result = family.run(
+        _SOURCE_SPECS[ref.family](ref, options),
+        jobs=options.jobs,
+        cache_dir=options.cache_dir(family.cache_subdir),
+        progress=options.progress,
+    )
+    return family.make_artifact(result)
 
 
 def resolve_baseline_path(
     ref: SourceRef, root: Optional[Path] = None
 ) -> Path:
     """Committed-baseline location of a source, CWD- then repo-anchored."""
-    if root is not None:
-        return default_baseline_path(baseline_name(ref), root=root)
-    path = default_baseline_path(baseline_name(ref))
-    if not path.is_file():
-        toplevel = git_toplevel()
-        if toplevel is not None:
-            return default_baseline_path(baseline_name(ref), root=toplevel)
-    return path
+    return get_family(ref.family).resolve_baseline_path(ref.preset, root)
 
 
 def run_figures(
@@ -227,8 +177,7 @@ def run_figures(
         artifacts: Dict[str, Dict] = {}
         for ref in spec.sources:
             if ref.key not in produced:
-                runner = _FAMILIES[ref.family][0]
-                produced[ref.key] = runner(ref, options)
+                produced[ref.key] = _run_source(ref, options)
             artifacts[ref.key] = produced[ref.key]
         results.append(
             FigureResult(
@@ -267,15 +216,11 @@ def check_results(
         problems: List[str] = []
         for ref in result.spec.sources:
             if ref.key not in findings_by_source:
-                _, _, schema, gated = _FAMILIES[ref.family]
-                path = resolve_baseline_path(ref, root=baseline_root)
-                ok, findings = check_against_baseline(
+                ok, findings = get_family(ref.family).check_against_baseline(
                     result.artifacts[ref.key],
-                    path,
+                    resolve_baseline_path(ref, root=baseline_root),
                     rtol=rtol,
                     atol=atol,
-                    schema=schema,
-                    gated_metrics=gated,
                 )
                 findings_by_source[ref.key] = (
                     [] if ok else [f"{ref.key}: {f}" for f in findings]
@@ -317,7 +262,9 @@ def write_baselines(
         for ref in result.spec.sources:
             if ref.key in written:
                 continue
-            path = default_baseline_path(baseline_name(ref), root=root)
+            path = get_family(ref.family).default_baseline_path(
+                ref.preset, root=root
+            )
             write_artifact(path, result.artifacts[ref.key])
             written[ref.key] = path
     return list(written.values())

@@ -11,22 +11,22 @@ declarative, cacheable, parallel evaluation backbone:
   :class:`~repro.attacks.registry.AttackSpec` x sub-channels, with
   named presets for every paper security figure (``fig5``, ``fig10``,
   ``fig13``, ``tsa``, ``feinting``, ``postponement``).
-* :mod:`repro.sweep.system_spec` — named multi-client, multi-channel
-  system scenarios (``system-smoke``, ``system-shard``,
-  ``system-noisy``) over :class:`~repro.system.sim.SystemRunConfig`.
-* :mod:`repro.sweep.runner` / :mod:`repro.sweep.attack_runner` /
-  :mod:`repro.sweep.system_runner` —
-  ``ProcessPoolExecutor``-based runners with per-point result caching
-  keyed on a config hash, deterministic seeding (parallel == serial),
-  and resume-on-rerun.
-* :mod:`repro.sweep.artifacts` — ``BENCH_sweep.json`` /
-  ``BENCH_attack.json`` artifact emission and baseline diffing for CI
-  gating (``repro sweep <preset> --check``,
-  ``repro attack sweep <preset> --check``).
+* :mod:`repro.sweep.model_spec` / :mod:`repro.sweep.mc_spec` /
+  :mod:`repro.sweep.system_spec` — analytic model grids, closed-loop
+  memory-controller grids and named multi-client system scenarios.
+* :mod:`repro.sweep.runner` — the ``ProcessPoolExecutor``-based cache
+  core (per-point results cached by config hash, deterministic
+  seeding so parallel == serial, resume-on-rerun) and the one result
+  codec, :class:`PointResult` / :class:`SweepResult`. Each family's
+  point executor lives in its ``*_runner`` module.
+* :mod:`repro.sweep.artifacts` — schemas, gated metrics, artifact I/O
+  and baseline diffing for CI gating (``repro <family> sweep <preset>
+  --check``).
 * :mod:`repro.sweep.family` — the :class:`~repro.sweep.family.
-  SweepFamily` registry tying each family's spec class, presets,
-  runner, schema, gated metrics, and baseline prefix into one table
-  (the CLI and artifact builder derive from it).
+  SweepFamily` registry: per family, its spec class, presets,
+  executor, identity columns, aggregates, table columns, schema,
+  gated metrics and baseline prefix. Runs (``family.run``), artifacts
+  (``family.make_artifact``), gates and the CLI derive from it.
 """
 
 from repro.sweep.artifacts import (
@@ -36,20 +36,9 @@ from repro.sweep.artifacts import (
     SCHEMA,
     SYSTEM_SCHEMA,
     check_against_baseline,
-    default_baseline_path,
     diff_artifacts,
     load_artifact,
-    make_artifact,
-    make_attack_artifact,
-    make_mc_artifact,
-    make_model_artifact,
-    make_system_artifact,
     write_artifact,
-)
-from repro.sweep.attack_runner import (
-    AttackPointResult,
-    AttackSweepResult,
-    run_attack_sweep,
 )
 from repro.sweep.attack_spec import (
     ATTACK_PRESETS,
@@ -57,18 +46,13 @@ from repro.sweep.attack_spec import (
     AttackSweepSpec,
     attack_preset,
 )
-from repro.sweep.runner import PointResult, SweepResult, run_sweep
+from repro.sweep.runner import PointResult, SweepPointError, SweepResult
 from repro.sweep.spec import (
     PRESETS,
     SWEEP_WORKLOADS,
     SweepPoint,
     SweepSpec,
     preset,
-)
-from repro.sweep.system_runner import (
-    SystemPointResult,
-    SystemSweepResult,
-    run_system_sweep,
 )
 from repro.sweep.system_spec import (
     SYSTEM_PRESETS,
@@ -78,12 +62,7 @@ from repro.sweep.system_spec import (
 )
 
 # Last: the registry imports every family's spec/runner modules above.
-from repro.sweep.family import (
-    FAMILIES,
-    SweepFamily,
-    get_family,
-    make_family_artifact,
-)
+from repro.sweep.family import FAMILIES, SweepFamily, get_family
 
 __all__ = [
     "ATTACK_PRESETS",
@@ -96,35 +75,22 @@ __all__ = [
     "SWEEP_WORKLOADS",
     "SYSTEM_PRESETS",
     "SYSTEM_SCHEMA",
-    "AttackPointResult",
     "AttackSweepPoint",
-    "AttackSweepResult",
     "AttackSweepSpec",
     "PointResult",
     "SweepFamily",
     "SweepPoint",
+    "SweepPointError",
     "SweepResult",
     "SweepSpec",
-    "SystemPointResult",
     "SystemSweepPoint",
-    "SystemSweepResult",
     "SystemSweepSpec",
     "attack_preset",
     "check_against_baseline",
-    "default_baseline_path",
     "diff_artifacts",
     "get_family",
     "load_artifact",
-    "make_artifact",
-    "make_attack_artifact",
-    "make_family_artifact",
-    "make_mc_artifact",
-    "make_model_artifact",
-    "make_system_artifact",
     "preset",
-    "run_attack_sweep",
-    "run_sweep",
-    "run_system_sweep",
     "system_preset",
     "write_artifact",
 ]

@@ -1,21 +1,16 @@
 """Machine-readable sweep artifacts and baseline gating.
 
-Five artifact families share this machinery (each registered as a
-:class:`~repro.sweep.family.SweepFamily`, which owns the schema id,
-gated-metric set, and baseline prefix listed below; the ``make_*``
-functions here delegate to the registry's single schema-parametrized
-builder): performance sweeps
-serialize to ``BENCH_sweep.json`` (schema :data:`SCHEMA`, gated on
-:data:`GATED_METRICS`), attack sweeps to ``BENCH_attack.json``
-(schema :data:`ATTACK_SCHEMA`, gated on :data:`ATTACK_GATED_METRICS`,
-built by :func:`make_attack_artifact`), analytic model sweeps to
-``BENCH_model.json`` (schema :data:`MODEL_SCHEMA`, gating every
-baseline metric), and closed-loop memory-controller sweeps to
-``BENCH_mc.json`` (schema :data:`MC_SCHEMA`, gated on
-:data:`MC_GATED_METRICS`, built by :func:`make_mc_artifact`), and
-multi-client system sweeps to ``BENCH_system.json`` (schema
-:data:`SYSTEM_SCHEMA`, gating every baseline metric, built by
-:func:`make_system_artifact`). A performance artifact looks like:
+Every sweep family writes the same artifact layout (built by
+:meth:`repro.sweep.family.SweepFamily.make_artifact`) under its own
+schema id, and is gated by :func:`check_against_baseline` on its own
+metric set. The schemas and gated-metric sets live here: perf sweeps
+(:data:`SCHEMA`, :data:`GATED_METRICS`), attack sweeps
+(:data:`ATTACK_SCHEMA`, :data:`ATTACK_GATED_METRICS`), analytic model
+sweeps (:data:`MODEL_SCHEMA`, gating every baseline metric),
+closed-loop memory-controller sweeps (:data:`MC_SCHEMA`,
+:data:`MC_GATED_METRICS`) and multi-client system sweeps
+(:data:`SYSTEM_SCHEMA`, gating every baseline metric). A performance
+artifact looks like:
 
 .. code-block:: json
 
@@ -58,8 +53,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.sweep.runner import SweepResult
-
 SCHEMA = "repro.sweep/v1"
 
 #: Schema of ``BENCH_attack.json`` artifacts (attack sweeps).
@@ -69,11 +62,11 @@ ATTACK_SCHEMA = "repro.attack/v1"
 MODEL_SCHEMA = "repro.model/v1"
 
 #: Schema of ``BENCH_mc.json`` artifacts (closed-loop memory-controller
-#: sweeps, built by :func:`make_mc_artifact`).
+#: sweeps).
 MC_SCHEMA = "repro.mc/v1"
 
 #: Schema of ``BENCH_system.json`` artifacts (multi-client system
-#: sweeps, built through the family registry).
+#: sweeps).
 SYSTEM_SCHEMA = "repro.system/v1"
 
 #: Default relative location of committed baselines.
@@ -217,67 +210,6 @@ def git_toplevel(cwd: Optional[Path] = None) -> Optional[Path]:
         return None
 
 
-def make_artifact(result: SweepResult, git_rev: Optional[str] = None) -> Dict:
-    """Serialize a sweep result into the ``BENCH_sweep.json`` schema.
-
-    Delegates to the family registry's single schema-parametrized
-    builder (:func:`repro.sweep.family.make_family_artifact`); kept as
-    the stable public entry point. Imported lazily — the registry
-    imports this module for the shared schema/gate machinery.
-    """
-    from repro.sweep.family import PERF_FAMILY, make_family_artifact
-
-    return make_family_artifact(PERF_FAMILY, result, git_rev=git_rev)
-
-
-def make_attack_artifact(result, git_rev: Optional[str] = None) -> Dict:
-    """Serialize an attack sweep into the ``BENCH_attack.json`` schema.
-
-    Same layout as :func:`make_artifact`, with attack identity fields
-    (``attack``, ``kind``, ``figure``, ``subchannels``) in place of the
-    performance sweep's workload/policy columns.
-    """
-    from repro.sweep.family import ATTACK_FAMILY, make_family_artifact
-
-    return make_family_artifact(ATTACK_FAMILY, result, git_rev=git_rev)
-
-
-def make_model_artifact(result, git_rev: Optional[str] = None) -> Dict:
-    """Serialize a model sweep into the ``BENCH_model.json`` schema.
-
-    Same layout as :func:`make_artifact` for the analytic family; model
-    points are scale-free (no ``n_trefi``/``seed`` at the top level —
-    scale-aware kinds carry their window length as a point parameter).
-    """
-    from repro.sweep.family import MODEL_FAMILY, make_family_artifact
-
-    return make_family_artifact(MODEL_FAMILY, result, git_rev=git_rev)
-
-
-def make_mc_artifact(result, git_rev: Optional[str] = None) -> Dict:
-    """Serialize an mc sweep into the ``BENCH_mc.json`` schema.
-
-    Same layout as :func:`make_artifact`, with the closed-loop identity
-    fields (arrival workload, scheduler, row policy, queue depth,
-    geometry) in place of the performance sweep's columns.
-    """
-    from repro.sweep.family import MC_FAMILY, make_family_artifact
-
-    return make_family_artifact(MC_FAMILY, result, git_rev=git_rev)
-
-
-def make_system_artifact(result, git_rev: Optional[str] = None) -> Dict:
-    """Serialize a system sweep into the ``BENCH_system.json`` schema.
-
-    Scenario identity fields (client roster, channel count, per-point
-    scale/seed) in place of grid coordinates; metrics carry the
-    flattened per-client columns next to the system aggregate.
-    """
-    from repro.sweep.family import SYSTEM_FAMILY, make_family_artifact
-
-    return make_family_artifact(SYSTEM_FAMILY, result, git_rev=git_rev)
-
-
 def write_artifact(path: Path, artifact: Dict) -> None:
     """Write ``json.dumps(artifact, indent=1, sort_keys=True)`` and a
     newline to ``path``, atomically.
@@ -325,19 +257,26 @@ def write_artifact(path: Path, artifact: Dict) -> None:
 
 
 def load_artifact(path: Path, schema: str = SCHEMA) -> Dict:
+    """Read a ``schema`` artifact; ``ValueError`` on anything else.
+
+    A top level or ``points`` block that is not a JSON object is
+    rejected here, so a malformed baseline fails the gate with a
+    problem line rather than a crash inside the diff.
+    """
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{path}: artifact top level is a JSON "
+            f"{type(data).__name__}, not an object"
+        )
     if data.get("schema") != schema:
         raise ValueError(
             f"{path}: unsupported artifact schema {data.get('schema')!r} "
             f"(expected {schema!r})"
         )
+    if not isinstance(data.get("points", {}), dict):
+        raise ValueError(f"{path}: artifact 'points' is not an object")
     return data
-
-
-def default_baseline_path(preset_name: str, root: Optional[Path] = None) -> Path:
-    """Committed baseline location for a preset (``--check`` default)."""
-    base = Path(root) if root is not None else Path(".")
-    return base / BASELINE_DIR / f"{preset_name}.json"
 
 
 def diff_artifacts(
@@ -426,8 +365,9 @@ def check_against_baseline(
 ) -> Tuple[bool, List[str]]:
     """Gate an already-serialized sweep artifact on a baseline file.
 
-    Works for both artifact families: pass ``schema=ATTACK_SCHEMA`` and
-    ``gated_metrics=ATTACK_GATED_METRICS`` for attack sweeps.
+    ``schema`` and ``gated_metrics`` are the artifact family's
+    (:meth:`repro.sweep.family.SweepFamily.check_against_baseline`
+    passes them).
     """
     path = Path(baseline_path)
     if not path.is_file():

@@ -1,171 +1,32 @@
-"""Parallel, cached execution of attack sweeps.
+"""The attack family's point executor.
 
-Mirrors :mod:`repro.sweep.runner` for the security workload family:
-attack points are independent, fully deterministic simulations (the
+Attack points are independent, fully deterministic simulations (the
 adaptive attacks carry no hidden global state), so executing them
-across a ``ProcessPoolExecutor`` is bit-identical to a serial run.
-The cache/pool orchestration itself is shared with the performance
-runner (:func:`repro.sweep.runner.run_cached_grid`); this module only
-contributes the attack point executor and result codec.
+across a ``ProcessPoolExecutor`` is bit-identical to a serial run. The
+cache/pool core and the result codec are shared by every family
+(:mod:`repro.sweep.runner`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional
-
-from repro.sweep.attack_spec import AttackSweepPoint, AttackSweepSpec
-from repro.sweep.runner import ProgressFn, run_cached_grid, wall_timer
-
-#: Default on-disk cache location (sibling of the perf sweep cache).
-DEFAULT_ATTACK_CACHE_DIR = Path(".repro-cache") / "attack"
+from repro.sweep.attack_spec import AttackSweepPoint
+from repro.sweep.runner import PointResult, wall_timer
 
 
-@dataclass
-class AttackPointResult:
-    """Outcome of one attack point (metrics plus provenance)."""
-
-    key: str
-    config_hash: str
-    attack: str
-    kind: str
-    figure: str
-    subchannels: int
-    seed: int
-    params: Dict[str, object]
-    metrics: Dict[str, float]
-    wall_clock_s: float
-    cached: bool = False
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "config_hash": self.config_hash,
-            "attack": self.attack,
-            "kind": self.kind,
-            "figure": self.figure,
-            "subchannels": self.subchannels,
-            "seed": self.seed,
-            "params": self.params,
-            "metrics": self.metrics,
-            "wall_clock_s": self.wall_clock_s,
-        }
-
-    @staticmethod
-    def from_json(
-        data: Dict[str, object], cached: bool = False
-    ) -> "AttackPointResult":
-        # ``params`` is required: pre-params cache entries raise
-        # KeyError here, which the cache loader treats as a miss — one
-        # recompute upgrades the entry in place.
-        return AttackPointResult(
-            key=str(data["key"]),
-            config_hash=str(data["config_hash"]),
-            attack=str(data["attack"]),
-            kind=str(data["kind"]),
-            figure=str(data["figure"]),
-            subchannels=int(data["subchannels"]),
-            seed=int(data["seed"]),
-            params=dict(data["params"]),
-            metrics={k: float(v) for k, v in dict(data["metrics"]).items()},
-            wall_clock_s=float(data["wall_clock_s"]),
-            cached=cached,
-        )
-
-
-@dataclass
-class AttackSweepResult:
-    """All point results of one attack sweep, in spec order."""
-
-    spec: AttackSweepSpec
-    results: List[AttackPointResult] = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    jobs: int = 1
-    #: Cache statistics from :func:`run_cached_grid` (hits, misses,
-    #: recomputes, elapsed time) — recorded into artifact provenance.
-    cache_stats: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.results if r.cached)
-
-    @property
-    def compute_time_s(self) -> float:
-        """Summed per-point simulation time (cached points keep the
-        wall-clock of their original computation)."""
-        return sum(r.wall_clock_s for r in self.results)
-
-    def by_key(self) -> Dict[str, AttackPointResult]:
-        return {r.key: r for r in self.results}
-
-    def aggregates(self) -> Dict[str, float]:
-        """Cross-point summary (artifact ``aggregates`` block)."""
-        n = len(self.results)
-        if n == 0:
-            return {}
-        return {
-            "points": float(n),
-            "total_alerts": sum(
-                r.metrics.get("alerts", 0.0) for r in self.results
-            ),
-            "max_acts_on_attack_row": max(
-                r.metrics.get("acts_on_attack_row", 0.0) for r in self.results
-            ),
-            "max_danger": max(
-                r.metrics.get("max_danger", 0.0) for r in self.results
-            ),
-        }
-
-
-def execute_attack_point(point: AttackSweepPoint) -> AttackPointResult:
+def execute_attack_point(point: AttackSweepPoint) -> PointResult:
     """Run one attack point in the current process (worker entry)."""
     started = wall_timer()
     result = point.attack.execute(point.run)
-    return AttackPointResult(
+    return PointResult(
         key=point.key,
         config_hash=point.config_hash(),
-        attack=point.attack.display_name(),
-        kind=point.attack.kind,
-        figure=point.attack.figure,
-        subchannels=point.run.subchannels,
-        seed=point.run.seed,
-        params=point.attack.param_dict(),
+        identity={
+            "attack": point.attack.display_name(),
+            "kind": point.attack.kind,
+            "figure": point.attack.figure,
+            "subchannels": point.run.subchannels,
+            "params": point.attack.param_dict(),
+        },
         metrics=result.as_metrics(),
         wall_clock_s=wall_timer() - started,
-    )
-
-
-def run_attack_sweep(
-    spec: AttackSweepSpec,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_ATTACK_CACHE_DIR,
-    progress: Optional[ProgressFn] = None,
-) -> AttackSweepResult:
-    """Execute every point of ``spec``; parallel when ``jobs > 1``.
-
-    Args:
-        spec: The attack grid to run.
-        jobs: Worker processes (``1`` = serial, in-process).
-        cache_dir: Per-point result cache; ``None`` disables caching.
-        progress: Optional callback receiving one line per finished
-            point (``[done/total] key (cached|12.3s)``).
-    """
-    started = wall_timer()
-    cache_stats: Dict[str, object] = {}
-    ordered = run_cached_grid(
-        spec.points(),
-        execute_attack_point,
-        AttackPointResult.from_json,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        stats=cache_stats,
-    )
-    return AttackSweepResult(
-        spec=spec,
-        results=ordered,
-        wall_clock_s=wall_timer() - started,
-        jobs=jobs,
-        cache_stats=cache_stats,
     )

@@ -1,199 +1,39 @@
-"""Parallel, cached execution of memory-controller sweeps.
+"""The closed-loop (mc) family's point executor.
 
-Mirrors :mod:`repro.sweep.runner` and :mod:`repro.sweep.attack_runner`
-for the closed-loop family: mc points are independent, fully
-deterministic simulations (request streams and stochastic policies
-derive their RNG streams from the point's config), so executing them
-across a ``ProcessPoolExecutor`` is bit-identical to a serial run. The
-cache/pool orchestration is the shared
-:func:`repro.sweep.runner.run_cached_grid` core; this module only
-contributes the point executor and result codec.
+mc points are independent, fully deterministic simulations (request
+streams and stochastic policies derive their RNG streams from the
+point's config), so executing them across a ``ProcessPoolExecutor`` is
+bit-identical to a serial run. The cache/pool core and the result
+codec are shared by every family (:mod:`repro.sweep.runner`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional
-
 from repro.sim.mc import run_mc
-from repro.sweep.mc_spec import McSweepPoint, McSweepSpec
-from repro.sweep.runner import ProgressFn, run_cached_grid, wall_timer
-
-#: Default on-disk cache location (sibling of the other family caches).
-DEFAULT_MC_CACHE_DIR = Path(".repro-cache") / "mc"
+from repro.sweep.mc_spec import McSweepPoint
+from repro.sweep.runner import PointResult, wall_timer
 
 
-@dataclass
-class McPointResult:
-    """Outcome of one mc point (metrics plus provenance)."""
-
-    key: str
-    config_hash: str
-    workload: str
-    policy: str
-    ath: int
-    eth: int
-    abo_level: int
-    scheduler: str
-    row_policy: str
-    queue_depth: Optional[int]
-    subchannels: int
-    banks: int
-    n_trefi: int
-    seed: int
-    metrics: Dict[str, float]
-    wall_clock_s: float
-    cached: bool = False
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "config_hash": self.config_hash,
-            "workload": self.workload,
-            "policy": self.policy,
-            "ath": self.ath,
-            "eth": self.eth,
-            "abo_level": self.abo_level,
-            "scheduler": self.scheduler,
-            "row_policy": self.row_policy,
-            "queue_depth": self.queue_depth,
-            "subchannels": self.subchannels,
-            "banks": self.banks,
-            "n_trefi": self.n_trefi,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "wall_clock_s": self.wall_clock_s,
-        }
-
-    @staticmethod
-    def from_json(
-        data: Dict[str, object], cached: bool = False
-    ) -> "McPointResult":
-        depth = data["queue_depth"]
-        return McPointResult(
-            key=str(data["key"]),
-            config_hash=str(data["config_hash"]),
-            workload=str(data["workload"]),
-            policy=str(data["policy"]),
-            ath=int(data["ath"]),
-            eth=int(data["eth"]),
-            abo_level=int(data["abo_level"]),
-            scheduler=str(data["scheduler"]),
-            row_policy=str(data["row_policy"]),
-            queue_depth=None if depth is None else int(depth),
-            subchannels=int(data["subchannels"]),
-            banks=int(data["banks"]),
-            n_trefi=int(data["n_trefi"]),
-            seed=int(data["seed"]),
-            metrics={k: float(v) for k, v in dict(data["metrics"]).items()},
-            wall_clock_s=float(data["wall_clock_s"]),
-            cached=cached,
-        )
-
-
-@dataclass
-class McSweepResult:
-    """All point results of one mc sweep, in spec order."""
-
-    spec: McSweepSpec
-    results: List[McPointResult] = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    jobs: int = 1
-    #: Cache statistics from :func:`run_cached_grid` (hits, misses,
-    #: recomputes, elapsed time) — recorded into artifact provenance.
-    cache_stats: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.results if r.cached)
-
-    @property
-    def compute_time_s(self) -> float:
-        """Summed per-point simulation time (cached points keep the
-        wall-clock of their original computation)."""
-        return sum(r.wall_clock_s for r in self.results)
-
-    def by_key(self) -> Dict[str, McPointResult]:
-        return {r.key: r for r in self.results}
-
-    def aggregates(self) -> Dict[str, float]:
-        """Cross-point summary (artifact ``aggregates`` block)."""
-        n = len(self.results)
-        if n == 0:
-            return {}
-        return {
-            "points": float(n),
-            "avg_read_p99_ns": sum(
-                r.metrics.get("read_p99_ns", 0.0) for r in self.results
-            ) / n,
-            "avg_achieved_gbps": sum(
-                r.metrics.get("achieved_gbps", 0.0) for r in self.results
-            ) / n,
-            "avg_stall_fraction": sum(
-                r.metrics.get("stall_fraction", 0.0) for r in self.results
-            ) / n,
-            "total_alerts": sum(
-                r.metrics.get("alerts", 0.0) for r in self.results
-            ),
-        }
-
-
-def execute_mc_point(point: McSweepPoint) -> McPointResult:
+def execute_mc_point(point: McSweepPoint) -> PointResult:
     """Run one mc point in the current process (worker entry)."""
     started = wall_timer()
     result = run_mc(point.config)
     config = point.config
-    return McPointResult(
+    return PointResult(
         key=point.key,
         config_hash=point.config_hash(),
-        workload=config.workload.display_name(),
-        policy=config.policy.display_name(),
-        ath=config.ath,
-        eth=config.eth_resolved,
-        abo_level=config.abo_level,
-        scheduler=config.sched_display(),
-        row_policy=config.row_policy,
-        queue_depth=config.queue_depth,
-        subchannels=config.subchannels,
-        banks=config.banks,
-        n_trefi=config.n_trefi,
-        seed=config.seed,
+        identity={
+            "workload": config.workload.display_name(),
+            "policy": config.policy.display_name(),
+            "ath": config.ath,
+            "eth": config.eth_resolved,
+            "abo_level": config.abo_level,
+            "scheduler": config.sched_display(),
+            "row_policy": config.row_policy,
+            "queue_depth": config.queue_depth,
+            "subchannels": config.subchannels,
+            "banks": config.banks,
+        },
         metrics=result.as_metrics(),
         wall_clock_s=wall_timer() - started,
-    )
-
-
-def run_mc_sweep(
-    spec: McSweepSpec,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_MC_CACHE_DIR,
-    progress: Optional[ProgressFn] = None,
-) -> McSweepResult:
-    """Execute every point of ``spec``; parallel when ``jobs > 1``.
-
-    Args:
-        spec: The mc grid to run.
-        jobs: Worker processes (``1`` = serial, in-process).
-        cache_dir: Per-point result cache; ``None`` disables caching.
-        progress: Optional callback receiving one line per finished
-            point (``[done/total] key (cached|12.3s)``).
-    """
-    started = wall_timer()
-    cache_stats: Dict[str, object] = {}
-    ordered = run_cached_grid(
-        spec.points(),
-        execute_mc_point,
-        McPointResult.from_json,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        stats=cache_stats,
-    )
-    return McSweepResult(
-        spec=spec,
-        results=ordered,
-        wall_clock_s=wall_timer() - started,
-        jobs=jobs,
-        cache_stats=cache_stats,
     )

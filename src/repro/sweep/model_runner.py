@@ -1,139 +1,28 @@
-"""Cached execution of model sweeps (the analytic artifact family).
+"""The model family's point executor (analytic/derived quantities).
 
-Mirrors :mod:`repro.sweep.runner` and :mod:`repro.sweep.attack_runner`
-for analytic/derived quantities: points are pure, deterministic
-computations, so they flow through the shared
-:func:`repro.sweep.runner.run_cached_grid` cache/pool core unchanged.
-Most evaluators are microseconds of arithmetic — the cache matters for
-the few that are not (the sampled Jailbreak curve at 2^20 iterations,
+Model points are pure, deterministic computations that flow through
+the shared cache/pool core (:mod:`repro.sweep.runner`) unchanged. Most
+evaluators are microseconds of arithmetic — the cache matters for the
+few that are not (the sampled Jailbreak curve at 2^20 iterations,
 per-workload schedule generation for Table 4) and for giving every
 point a stable ``BENCH``/baseline identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional
-
-from repro.sweep.model_spec import ModelSweepPoint, ModelSweepSpec
-from repro.sweep.runner import ProgressFn, run_cached_grid, wall_timer
-
-#: Default on-disk cache location (sibling of the other sweep caches).
-DEFAULT_MODEL_CACHE_DIR = Path(".repro-cache") / "model"
+from repro.sweep.model_spec import ModelSweepPoint
+from repro.sweep.runner import PointResult, wall_timer
 
 
-@dataclass
-class ModelPointResult:
-    """Outcome of one model point (metrics plus provenance)."""
-
-    key: str
-    config_hash: str
-    kind: str
-    params: Dict[str, object]
-    metrics: Dict[str, float]
-    wall_clock_s: float
-    cached: bool = False
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "config_hash": self.config_hash,
-            "kind": self.kind,
-            "params": self.params,
-            "metrics": self.metrics,
-            "wall_clock_s": self.wall_clock_s,
-        }
-
-    @staticmethod
-    def from_json(
-        data: Dict[str, object], cached: bool = False
-    ) -> "ModelPointResult":
-        return ModelPointResult(
-            key=str(data["key"]),
-            config_hash=str(data["config_hash"]),
-            kind=str(data["kind"]),
-            params=dict(data["params"]),
-            metrics={k: float(v) for k, v in dict(data["metrics"]).items()},
-            wall_clock_s=float(data["wall_clock_s"]),
-            cached=cached,
-        )
-
-
-@dataclass
-class ModelSweepResult:
-    """All point results of one model sweep, in spec order."""
-
-    spec: ModelSweepSpec
-    results: List[ModelPointResult] = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    jobs: int = 1
-    #: Cache statistics from :func:`run_cached_grid` (hits, misses,
-    #: recomputes, elapsed time) — recorded into artifact provenance.
-    cache_stats: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.results if r.cached)
-
-    @property
-    def compute_time_s(self) -> float:
-        """Summed per-point evaluation time (cached points keep the
-        wall-clock of their original computation)."""
-        return sum(r.wall_clock_s for r in self.results)
-
-    def by_key(self) -> Dict[str, ModelPointResult]:
-        return {r.key: r for r in self.results}
-
-    def aggregates(self) -> Dict[str, float]:
-        """Cross-point summary (artifact ``aggregates`` block)."""
-        return {"points": float(len(self.results))}
-
-
-def execute_model_point(point: ModelSweepPoint) -> ModelPointResult:
+def execute_model_point(point: ModelSweepPoint) -> PointResult:
     """Evaluate one model point in the current process (worker entry)."""
     started = wall_timer()
     metrics = point.model.evaluate()
-    return ModelPointResult(
+    return PointResult(
         key=point.key,
         config_hash=point.config_hash(),
-        kind=point.model.kind,
-        params=point.model.param_dict(),
+        identity={"kind": point.model.kind,
+                  "params": point.model.param_dict()},
         metrics={k: float(v) for k, v in metrics.items()},
         wall_clock_s=wall_timer() - started,
-    )
-
-
-def run_model_sweep(
-    spec: ModelSweepSpec,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_MODEL_CACHE_DIR,
-    progress: Optional[ProgressFn] = None,
-) -> ModelSweepResult:
-    """Execute every point of ``spec``; parallel when ``jobs > 1``.
-
-    Args:
-        spec: The model grid to evaluate.
-        jobs: Worker processes (``1`` = serial, in-process).
-        cache_dir: Per-point result cache; ``None`` disables caching.
-        progress: Optional callback receiving one line per finished
-            point (``[done/total] key (cached|12.3s)``).
-    """
-    started = wall_timer()
-    cache_stats: Dict[str, object] = {}
-    ordered = run_cached_grid(
-        spec.points(),
-        execute_model_point,
-        ModelPointResult.from_json,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        stats=cache_stats,
-    )
-    return ModelSweepResult(
-        spec=spec,
-        results=ordered,
-        wall_clock_s=wall_timer() - started,
-        jobs=jobs,
-        cache_stats=cache_stats,
     )

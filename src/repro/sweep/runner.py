@@ -1,4 +1,11 @@
-"""Parallel, cached execution of sweep specs.
+"""Parallel, cached execution of sweep points: the one result codec.
+
+Every sweep family runs through :func:`run_cached_grid` and records
+its points as :class:`PointResult` (key, config hash, identity
+columns, metrics) collected into one :class:`SweepResult`; what
+differs between families is declared on
+:class:`~repro.sweep.family.SweepFamily`. This module also holds the
+perf family's point executor, :func:`execute_point`.
 
 Points are independent simulations with fully deterministic seeding
 (the schedule generator and every stochastic policy derive their RNG
@@ -23,14 +30,15 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sim.perf import run_workload
-from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.sweep.spec import SweepPoint
 from repro.workloads.profiles import profile_by_name
 
-#: Default on-disk cache location (relative to the working directory).
-DEFAULT_CACHE_DIR = Path(".repro-cache") / "sweep"
+#: Default root of the per-family point caches (relative to the
+#: working directory); family ``f`` caches under ``CACHE_ROOT / f``.
+CACHE_ROOT = Path(".repro-cache")
 
 ProgressFn = Callable[[str], None]
 
@@ -67,51 +75,44 @@ def stderr_progress(quiet: bool = False) -> Optional[ProgressFn]:
 
 @dataclass
 class PointResult:
-    """Outcome of one sweep point (metrics plus provenance)."""
+    """Outcome of one sweep point of any family.
+
+    ``identity`` holds the point's resolved grid coordinates (the
+    family's identity columns, e.g. workload/policy/ATH for perf
+    points), recorded next to its metrics in the cache and artifacts.
+    """
 
     key: str
     config_hash: str
-    workload: str
-    policy: str
-    ath: int
-    eth: int
-    abo_level: int
-    trefi_per_mitigation: int
-    n_trefi: int
-    seed: int
+    identity: Dict[str, Any]
     metrics: Dict[str, float]
     wall_clock_s: float
     cached: bool = False
 
     def to_json(self) -> Dict[str, object]:
+        """The cache-entry form: identity columns at the top level."""
         return {
             "key": self.key,
             "config_hash": self.config_hash,
-            "workload": self.workload,
-            "policy": self.policy,
-            "ath": self.ath,
-            "eth": self.eth,
-            "abo_level": self.abo_level,
-            "trefi_per_mitigation": self.trefi_per_mitigation,
-            "n_trefi": self.n_trefi,
-            "seed": self.seed,
+            **self.identity,
             "metrics": self.metrics,
             "wall_clock_s": self.wall_clock_s,
         }
 
     @staticmethod
-    def from_json(data: Dict[str, object], cached: bool = False) -> "PointResult":
+    def from_json(
+        data: Dict[str, object], columns: Sequence[str], cached: bool = False
+    ) -> "PointResult":
+        """Revive a cache entry, keeping exactly its ``columns``.
+
+        Raises ``KeyError``/``TypeError``/``ValueError`` when ``data``
+        is not an object or lacks a field; the cache then recomputes
+        the point. Extra fields an older entry carries are dropped.
+        """
         return PointResult(
             key=str(data["key"]),
             config_hash=str(data["config_hash"]),
-            workload=str(data["workload"]),
-            policy=str(data["policy"]),
-            ath=int(data["ath"]),
-            eth=int(data["eth"]),
-            abo_level=int(data["abo_level"]),
-            trefi_per_mitigation=int(data["trefi_per_mitigation"]),
-            n_trefi=int(data["n_trefi"]),
-            seed=int(data["seed"]),
+            identity={name: data[name] for name in columns},
             metrics={k: float(v) for k, v in dict(data["metrics"]).items()},
             wall_clock_s=float(data["wall_clock_s"]),
             cached=cached,
@@ -122,7 +123,9 @@ class PointResult:
 class SweepResult:
     """All point results of one sweep, in spec order."""
 
-    spec: SweepSpec
+    #: The :class:`~repro.sweep.family.SweepFamily` that ran the sweep.
+    family: Any
+    spec: Any
     results: List[PointResult] = field(default_factory=list)
     wall_clock_s: float = 0.0
     jobs: int = 1
@@ -147,41 +150,46 @@ class SweepResult:
 
     def aggregates(self) -> Dict[str, float]:
         """Cross-point summary metrics (artifact ``aggregates`` block)."""
-        n = len(self.results)
-        if n == 0:
-            return {}
-        gmean = 1.0
-        for r in self.results:
-            gmean *= max(r.metrics.get("normalized_performance", 1.0), 1e-12)
-        return {
-            "points": float(n),
-            "avg_slowdown": sum(r.metrics.get("slowdown", 0.0) for r in self.results) / n,
-            "avg_alerts_per_trefi": sum(
-                r.metrics.get("alerts_per_trefi", 0.0) for r in self.results
-            )
-            / n,
-            "gmean_normalized_performance": gmean ** (1.0 / n),
-        }
+        return self.family.aggregates(self.results)
+
+
+class SweepPointError(RuntimeError):
+    """A point's executor raised; names the point it failed on.
+
+    The constructor arguments are the exception's ``args``, so it
+    pickles: a system sweep point raises it from inside a pool worker
+    when one of its channel shards fails.
+    """
+
+    def __init__(self, key: str, config_hash: str, reason: str):
+        super().__init__(key, config_hash, reason)
+        self.key = key
+        self.config_hash = config_hash
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return (f"point {self.key} (config {self.config_hash}) failed: "
+                f"{self.reason}")
 
 
 def execute_point(point: SweepPoint) -> PointResult:
-    """Run one sweep point in the current process (worker entry)."""
-    started = time.perf_counter()
+    """Run one perf sweep point in the current process (worker entry)."""
+    started = wall_timer()
     result = run_workload(profile_by_name(point.workload), point.config)
     config = point.config
     return PointResult(
         key=point.key,
         config_hash=point.config_hash(),
-        workload=point.workload,
-        policy=config.policy.display_name(),
-        ath=config.ath,
-        eth=config.eth_resolved,
-        abo_level=config.abo_level,
-        trefi_per_mitigation=config.trefi_per_mitigation_resolved,
-        n_trefi=config.n_trefi,
-        seed=config.seed,
+        identity={
+            "workload": point.workload,
+            "policy": config.policy.display_name(),
+            "ath": config.ath,
+            "eth": config.eth_resolved,
+            "abo_level": config.abo_level,
+            "trefi_per_mitigation": config.trefi_per_mitigation_resolved,
+        },
         metrics=result.as_metrics(),
-        wall_clock_s=time.perf_counter() - started,
+        wall_clock_s=wall_timer() - started,
     )
 
 
@@ -190,19 +198,16 @@ def _cache_path(cache_dir: Path, config_hash: str) -> Path:
 
 
 def _load_cached(cache_dir: Path, config_hash: str, from_json):
-    path = _cache_path(cache_dir, config_hash)
-    if not path.is_file():
-        return None
     try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if data.get("config_hash") != config_hash:
-        return None  # stale/corrupt entry; recompute
-    try:
-        return from_json(data, cached=True)
-    except (KeyError, TypeError, ValueError):
-        return None
+        result = from_json(
+            json.loads(_cache_path(cache_dir, config_hash).read_text()),
+            cached=True,
+        )
+    except (OSError, KeyError, TypeError, ValueError):
+        return None  # unreadable, not an object, or codec drift
+    if result.config_hash != config_hash:
+        return None  # stale entry
+    return result
 
 
 def _store_cached(cache_dir: Path, result) -> None:
@@ -222,14 +227,15 @@ def run_cached_grid(
     progress: Optional[ProgressFn] = None,
     stats: Optional[Dict[str, object]] = None,
 ):
-    """Shared cache/pool orchestration for both sweep families.
+    """Shared cache/pool orchestration of every sweep family and of
+    :class:`~repro.system.sim.SystemSim`'s channel shards.
 
     Probes the on-disk cache for every point, runs the misses through a
     ``ProcessPoolExecutor`` (or in-process when ``jobs == 1``), stores
     fresh results, and reassembles everything in point order.
 
     Args:
-        points: Grid cells exposing ``config_hash()``.
+        points: Grid cells exposing ``key`` and ``config_hash()``.
         execute: Module-level worker ``point -> result`` (picklable);
             results expose ``key``, ``config_hash``, ``cached``,
             ``wall_clock_s``, and ``to_json()``.
@@ -247,8 +253,12 @@ def run_cached_grid(
 
     Returns:
         Results in the same order as ``points``.
+
+    Raises:
+        SweepPointError: ``execute`` raised on a point. Points that
+            finished before it stay cached, so a rerun resumes.
     """
-    started = time.perf_counter()
+    started = wall_timer()
     total = len(points)
     results: Dict[int, object] = {}
 
@@ -257,6 +267,16 @@ def run_cached_grid(
         if progress is not None:
             status = "cached" if result.cached else f"{result.wall_clock_s:.1f}s"
             progress(f"[{len(results)}/{total}] {result.key} ({status})")
+
+    def finish(index: int, result) -> None:
+        if cache_dir:
+            _store_cached(cache_dir, result)
+        note(index, result)
+
+    def failed(index: int, exc: Exception) -> SweepPointError:
+        point = points[index]
+        return SweepPointError(point.key, point.config_hash(),
+                               f"{type(exc).__name__}: {exc}")
 
     hits = misses = recomputes = 0
     pending: List[int] = []
@@ -285,22 +305,33 @@ def run_cached_grid(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(execute, points[i]): i for i in pending}
             remaining = set(futures)
-            while remaining:
+            failure = None
+            while remaining and failure is None:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+                # Store every finished point before raising for the
+                # first failed one.
                 for future in done:
                     index = futures[future]
-                    result = future.result()
-                    if cache_dir:
-                        _store_cached(cache_dir, result)
-                    note(index, result)
+                    try:
+                        result = future.result()
+                    except Exception as exc:
+                        failure = failure or (index, exc)
+                        continue
+                    finish(index, result)
+            if failure is not None:
+                for future in remaining:
+                    future.cancel()
+                index, exc = failure
+                raise failed(index, exc) from exc
     else:
         for index in pending:
-            result = execute(points[index])
-            if cache_dir:
-                _store_cached(cache_dir, result)
-            note(index, result)
+            try:
+                result = execute(points[index])
+            except Exception as exc:
+                raise failed(index, exc) from exc
+            finish(index, result)
 
-    elapsed_s = time.perf_counter() - started
+    elapsed_s = wall_timer() - started
     rate = total / elapsed_s if elapsed_s > 0 else 0.0
     if stats is not None:
         stats.update({
@@ -319,38 +350,3 @@ def run_cached_grid(
         )
 
     return [results[i] for i in range(total)]
-
-
-def run_sweep(
-    spec: SweepSpec,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_CACHE_DIR,
-    progress: Optional[ProgressFn] = None,
-) -> SweepResult:
-    """Execute every point of ``spec``; parallel when ``jobs > 1``.
-
-    Args:
-        spec: The grid to run.
-        jobs: Worker processes (``1`` = serial, in-process).
-        cache_dir: Per-point result cache; ``None`` disables caching.
-        progress: Optional callback receiving one line per finished
-            point (``[done/total] key (cached|12.3s)``).
-    """
-    started = time.perf_counter()
-    cache_stats: Dict[str, object] = {}
-    ordered = run_cached_grid(
-        spec.points(),
-        execute_point,
-        PointResult.from_json,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        stats=cache_stats,
-    )
-    return SweepResult(
-        spec=spec,
-        results=ordered,
-        wall_clock_s=time.perf_counter() - started,
-        jobs=jobs,
-        cache_stats=cache_stats,
-    )

@@ -190,6 +190,10 @@ class ChannelShard:
     config: SystemRunConfig
     channel: int
 
+    @property
+    def key(self) -> str:
+        return f"ch{self.channel}"
+
     def config_hash(self) -> str:
         """Identity of this shard (cache key of the shard pool)."""
         payload = {
@@ -357,7 +361,7 @@ def execute_system_shard(shard: ChannelShard, recorder=None) -> ShardResult:
             )
         )
     return ShardResult(
-        key=f"ch{shard.channel}",
+        key=shard.key,
         config_hash=shard.config_hash(),
         channel=shard.channel,
         alerts=channel.alerts,

@@ -32,6 +32,7 @@ def _base_state():
             "demo": {
                 "source": "src/family.py",
                 "description": "demo family",
+                "list_title": "Demo presets",
                 "presets": {
                     "p1": {"baseline": "benchmarks/baselines/p1.json",
                            "exists": True},
@@ -48,7 +49,6 @@ def _base_state():
         },
         "cli_choices": {"alpha"},
         "preset_kind_refs": set(),
-        "list_titles": {"demo"},
     }
 
 
@@ -58,7 +58,6 @@ def _mapped_state():
     state = _base_state()
     state["families"]["sweep"] = state["families"].pop("demo")
     state["figures"]["fig1"]["sources"] = ["sweep:p1"]
-    state["list_titles"] = {"sweep"}
     return state
 
 
@@ -96,9 +95,9 @@ def test_missing_baseline_flagged():
 
 def test_unlisted_family_flagged():
     state = _mapped_state()
-    state["list_titles"] = set()
+    state["families"]["sweep"]["list_title"] = " "
     findings = list(coverage_findings(state))
-    assert any("_LIST_TITLES" in f.message for f in findings)
+    assert any("no CLI listing title" in f.message for f in findings)
 
 
 def test_dangling_figure_source_flagged():

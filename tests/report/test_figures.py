@@ -178,17 +178,18 @@ class TestPipeline:
         exactly once per check pass (every dependent figure still
         carries the findings)."""
         import repro.report.pipeline as pipeline
+        import repro.sweep.artifacts as artifacts
 
         results = run_figures(["fig8", "fig8"], self.OPTIONS)
         write_baselines(results, root=tmp_path)
         calls = []
-        real = pipeline.check_against_baseline
+        real = artifacts.check_against_baseline
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "check_against_baseline", counting)
+        monkeypatch.setattr(artifacts, "check_against_baseline", counting)
         checked = pipeline.check_results(results, baseline_root=tmp_path)
         assert len(calls) == 1
         assert all(r.checked and r.ok for r in checked)

@@ -7,13 +7,11 @@ import pytest
 from repro.sweep.artifacts import (
     SCHEMA,
     check_against_baseline,
-    default_baseline_path,
     diff_artifacts,
     load_artifact,
-    make_artifact,
     write_artifact,
 )
-from repro.sweep.runner import run_sweep
+from repro.sweep.family import PERF_FAMILY
 from repro.sweep.spec import SweepSpec
 
 
@@ -25,12 +23,12 @@ def sweep_result():
         n_trefi=256,
         model_cross_bank_service=False,
     )
-    return run_sweep(spec, jobs=1, cache_dir=None)
+    return PERF_FAMILY.run(spec, jobs=1, cache_dir=None)
 
 
 class TestArtifactSchema:
     def test_make_artifact_fields(self, sweep_result):
-        art = make_artifact(sweep_result, git_rev="abc1234")
+        art = PERF_FAMILY.make_artifact(sweep_result, git_rev="abc1234")
         assert art["schema"] == SCHEMA
         assert art["preset"] == "tiny"
         assert art["git_rev"] == "abc1234"
@@ -41,13 +39,13 @@ class TestArtifactSchema:
         assert "avg_slowdown" in art["aggregates"]
 
     def test_roundtrip(self, sweep_result, tmp_path):
-        art = make_artifact(sweep_result, git_rev="abc1234")
+        art = PERF_FAMILY.make_artifact(sweep_result, git_rev="abc1234")
         path = tmp_path / "BENCH_sweep.json"
         write_artifact(path, art)
         assert load_artifact(path) == art
 
     def test_write_is_the_stdlib_encoding(self, sweep_result, tmp_path):
-        art = make_artifact(sweep_result, git_rev="abc1234")
+        art = PERF_FAMILY.make_artifact(sweep_result, git_rev="abc1234")
         path = tmp_path / "BENCH_sweep.json"
         write_artifact(path, art)
         assert path.read_text() == json.dumps(art, indent=1,
@@ -77,17 +75,17 @@ class TestArtifactSchema:
             load_artifact(path)
 
     def test_default_baseline_path(self):
-        path = default_baseline_path("fig11")
+        path = PERF_FAMILY.default_baseline_path("fig11")
         assert path.as_posix().endswith("benchmarks/baselines/fig11.json")
 
 
 class TestDiff:
     def test_identical_artifacts_pass(self, sweep_result):
-        art = make_artifact(sweep_result, git_rev="x")
+        art = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         assert diff_artifacts(art, art) == []
 
     def test_metric_regression_detected(self, sweep_result):
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         key = next(iter(cur["points"]))
         cur["points"][key]["metrics"]["slowdown"] += 0.5
@@ -97,14 +95,14 @@ class TestDiff:
         assert "slowdown" in problems[0]
 
     def test_within_tolerance_passes(self, sweep_result):
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         for point in cur["points"].values():
             point["metrics"]["slowdown"] *= 1.01  # inside default 5% rtol
         assert diff_artifacts(base, cur) == []
 
     def test_missing_point_detected(self, sweep_result):
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         key = next(iter(base["points"]))
         del base["points"][key]
@@ -113,7 +111,7 @@ class TestDiff:
 
     def test_shrunk_coverage_detected(self, sweep_result):
         """A run covering fewer points than the baseline must fail."""
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         key = next(iter(cur["points"]))
         del cur["points"][key]
@@ -122,7 +120,7 @@ class TestDiff:
         assert "missing from run" in problems[0]
 
     def test_config_drift_detected(self, sweep_result):
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         key = next(iter(cur["points"]))
         cur["points"][key]["config_hash"] = "f" * 16
@@ -132,7 +130,7 @@ class TestDiff:
     def test_nan_metric_fails_not_passes(self, sweep_result):
         """NaN compares False against any tolerance; the gate must
         fail explicitly rather than sail through."""
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         key = next(iter(cur["points"]))
         cur["points"][key]["metrics"]["slowdown"] = float("nan")
@@ -140,7 +138,7 @@ class TestDiff:
         assert any("missing or NaN" in p for p in problems)
 
     def test_absent_metric_fails_not_passes(self, sweep_result):
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         key = next(iter(cur["points"]))
         del cur["points"][key]["metrics"]["slowdown"]
@@ -149,7 +147,7 @@ class TestDiff:
         assert "slowdown" in problems[0]
 
     def test_non_numeric_metric_fails_not_crashes(self, sweep_result):
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         key = next(iter(base["points"]))
         base["points"][key]["metrics"]["slowdown"] = "0.5%"
@@ -157,7 +155,7 @@ class TestDiff:
         assert any("unparseable metric" in p for p in problems)
 
     def test_wall_clock_never_gated(self, sweep_result):
-        base = make_artifact(sweep_result, git_rev="x")
+        base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         for point in cur["points"].values():
             point["wall_clock_s"] = 9999.0
@@ -167,20 +165,20 @@ class TestDiff:
 class TestCheckAgainstBaseline:
     def test_passes_against_own_baseline(self, sweep_result, tmp_path):
         path = tmp_path / "baseline.json"
-        art = make_artifact(sweep_result, git_rev="x")
+        art = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         write_artifact(path, art)
         ok, problems = check_against_baseline(art, path)
         assert ok and problems == []
 
     def test_fails_when_baseline_missing(self, sweep_result, tmp_path):
-        art = make_artifact(sweep_result, git_rev="x")
+        art = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         ok, problems = check_against_baseline(art, tmp_path / "nope.json")
         assert not ok
         assert any("baseline not found" in p for p in problems)
 
     def test_fails_on_tampered_baseline(self, sweep_result, tmp_path):
         path = tmp_path / "baseline.json"
-        art = make_artifact(sweep_result, git_rev="x")
+        art = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         tampered = json.loads(json.dumps(art))
         key = next(iter(tampered["points"]))
         tampered["points"][key]["metrics"]["alerts"] += 100
@@ -188,3 +186,19 @@ class TestCheckAgainstBaseline:
         ok, problems = check_against_baseline(art, path)
         assert not ok
         assert any("metric regression" in p for p in problems)
+
+    @pytest.mark.parametrize("content", [
+        [],
+        "fig11",
+        {"schema": SCHEMA, "points": []},
+    ], ids=["list", "string", "list-points"])
+    def test_non_object_baseline_fails_with_problem_line(
+            self, sweep_result, tmp_path, content):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(content))
+        art = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
+        ok, problems = check_against_baseline(art, path)
+        assert not ok
+        assert len(problems) == 1
+        assert problems[0].startswith("unreadable baseline: ")
+        assert "not an object" in problems[0]

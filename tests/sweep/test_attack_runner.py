@@ -10,11 +10,10 @@ from repro.sweep.artifacts import (
     ATTACK_SCHEMA,
     check_against_baseline,
     diff_artifacts,
-    make_attack_artifact,
     write_artifact,
 )
-from repro.sweep.attack_runner import run_attack_sweep
 from repro.sweep.attack_spec import AttackSweepSpec
+from repro.sweep.family import ATTACK_FAMILY
 
 
 @pytest.fixture
@@ -31,42 +30,22 @@ def spec():
 
 class TestRunner:
     def test_serial_results_in_spec_order(self, spec):
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
+        result = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=None)
         assert [r.key for r in result.results] == [
             p.key for p in spec.points()
         ]
         assert result.cache_hits == 0
 
-    def test_parallel_bit_identical_to_serial(self, spec, tmp_path):
-        serial = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        parallel = run_attack_sweep(spec, jobs=2, cache_dir=None)
-        for a, b in zip(serial.results, parallel.results):
-            assert a.key == b.key
-            assert a.metrics == b.metrics
-
-    def test_cache_roundtrip(self, spec, tmp_path):
-        cache = tmp_path / "cache"
-        first = run_attack_sweep(spec, jobs=1, cache_dir=cache)
-        second = run_attack_sweep(spec, jobs=1, cache_dir=cache)
-        assert first.cache_hits == 0
-        assert second.cache_hits == len(spec.points())
-        for a, b in zip(first.results, second.results):
-            assert a.metrics == b.metrics
-        # Cached points keep their original compute cost.
-        assert second.compute_time_s == pytest.approx(
-            first.compute_time_s, rel=1e-6
-        )
-
     def test_corrupt_cache_entry_recomputed(self, spec, tmp_path):
         cache = tmp_path / "cache"
-        run_attack_sweep(spec, jobs=1, cache_dir=cache)
+        ATTACK_FAMILY.run(spec, jobs=1, cache_dir=cache)
         victim = next(cache.glob("*.json"))
         victim.write_text("{not json")
-        result = run_attack_sweep(spec, jobs=1, cache_dir=cache)
+        result = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=cache)
         assert result.cache_hits == len(spec.points()) - 1
 
     def test_aggregates(self, spec):
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
+        result = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=None)
         agg = result.aggregates()
         assert agg["points"] == len(spec.points())
         assert agg["max_acts_on_attack_row"] >= 64
@@ -74,8 +53,8 @@ class TestRunner:
 
 class TestArtifacts:
     def test_schema_and_points(self, spec):
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        artifact = make_attack_artifact(result, git_rev="test")
+        result = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=None)
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         assert artifact["schema"] == ATTACK_SCHEMA
         assert artifact["preset"] == "smoke"
         assert artifact["sweep_hash"] == spec.sweep_hash()
@@ -86,15 +65,15 @@ class TestArtifacts:
             assert "acts_on_attack_row" in point["metrics"]
 
     def test_self_diff_is_clean(self, spec):
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        artifact = make_attack_artifact(result, git_rev="test")
+        result = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=None)
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         assert diff_artifacts(
             artifact, artifact, gated_metrics=ATTACK_GATED_METRICS
         ) == []
 
     def test_metric_regression_detected(self, spec):
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        baseline = make_attack_artifact(result, git_rev="test")
+        result = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=None)
+        baseline = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         current = json.loads(json.dumps(baseline))
         key = next(iter(current["points"]))
         current["points"][key]["metrics"]["acts_on_attack_row"] += 50
@@ -104,8 +83,8 @@ class TestArtifacts:
         assert any("acts_on_attack_row" in p for p in problems)
 
     def test_baseline_gate_roundtrip(self, spec, tmp_path):
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        artifact = make_attack_artifact(result, git_rev="test")
+        result = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=None)
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         path = tmp_path / "attack_smoke.json"
         write_artifact(path, artifact)
         ok, problems = check_against_baseline(
@@ -117,8 +96,8 @@ class TestArtifacts:
     def test_perf_schema_baseline_rejected(self, spec, tmp_path):
         # An attack artifact checked against a perf baseline (or vice
         # versa) must fail the gate, not silently pass.
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        artifact = make_attack_artifact(result, git_rev="test")
+        result = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=None)
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         path = tmp_path / "wrong.json"
         wrong = dict(artifact, schema="repro.sweep/v1")
         write_artifact(path, wrong)

@@ -1,19 +1,14 @@
 """Tests of the sweep-family registry: completeness, artifact
-equivalence with the legacy builders, and baseline coverage."""
+equivalence with the committed baselines, cache revival, and baseline
+coverage."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.sweep.artifacts import (
-    load_artifact,
-    make_artifact,
-    make_attack_artifact,
-    make_mc_artifact,
-    make_model_artifact,
-    make_system_artifact,
-)
+from repro.sweep.artifacts import load_artifact
 from repro.sweep.family import (
     ATTACK_FAMILY,
     FAMILIES,
@@ -22,7 +17,6 @@ from repro.sweep.family import (
     PERF_FAMILY,
     SYSTEM_FAMILY,
     get_family,
-    make_family_artifact,
 )
 
 BASELINE_ROOT = Path(__file__).resolve().parents[2]
@@ -52,11 +46,13 @@ class TestRegistry:
     def test_every_family_is_complete(self):
         for family in FAMILIES.values():
             assert family.presets, family.name
-            assert callable(family.run)
+            assert callable(getattr(*family.executor))
             assert callable(family.top_fields)
-            assert callable(family.point_payload)
+            assert callable(family.aggregates)
+            assert family.identity and family.columns
             assert family.cache_subdir
             assert family.description
+            assert family.list_title and family.table_title
             for name, spec in family.presets.items():
                 assert isinstance(spec, family.spec_type), name
 
@@ -101,68 +97,113 @@ class TestCommittedBaselines:
                 assert artifact["preset"] == preset_name, str(path)
 
 
+def untimed(point):
+    return {k: v for k, v in point.items() if k != "wall_clock_s"}
+
+
+def written(family, result):
+    """The artifact as it reads back from disk (tuples become lists)."""
+    return json.loads(json.dumps(family.make_artifact(result, git_rev="x")))
+
+
 class TestArtifactEquivalence:
-    """The registry-driven builder emits byte-for-byte what the legacy
-    per-family builders emit (they now delegate, and this pins it)."""
+    """A fresh run at a committed baseline's scale reproduces every
+    field that baseline records — identity columns and metrics of each
+    point (the gate itself compares metrics only) and, for a full
+    preset, the top-level fields apart from timing and provenance.
+    Fields added after a baseline was written are not in it."""
 
-    def canonical(self, artifact):
-        artifact = dict(artifact)
-        artifact.pop("created_utc")
-        return json.dumps(artifact, sort_keys=True)
+    VOLATILE = {"created_utc", "git_rev", "jobs", "wall_clock_s",
+                "compute_time_s", "cache_hits", "points"}
 
-    def assert_equivalent(self, family, legacy_builder, result):
-        via_family = make_family_artifact(family, result, git_rev="x")
-        via_legacy = legacy_builder(result, git_rev="x")
-        assert (self.canonical(via_family)
-                == self.canonical(via_legacy))
-        assert (self.canonical(family.make_artifact(result, git_rev="x"))
-                == self.canonical(via_legacy))
+    def assert_matches_baseline(self, family, preset_name, spec=None):
+        baseline = load_artifact(
+            family.default_baseline_path(preset_name, root=BASELINE_ROOT),
+            family.schema,
+        )
+        full = spec is None
+        spec = family.preset(preset_name) if full else spec
+        artifact = written(family, family.run(spec, jobs=1, cache_dir=None))
+        assert artifact["points"]
+        for key, point in artifact["points"].items():
+            recorded = baseline["points"][key]
+            for field, value in recorded.items():
+                if field == "metrics":
+                    for metric, number in value.items():
+                        assert point["metrics"][metric] == number, (
+                            key, metric)
+                elif field != "wall_clock_s":
+                    assert point[field] == value, (key, field)
+        if full:
+            for field, value in baseline.items():
+                if field not in self.VOLATILE:
+                    assert artifact[field] == value, field
 
     def test_mc(self):
-        from repro.sweep.mc_runner import run_mc_sweep
-        spec = MC_FAMILY.preset("mc-smoke").with_overrides(n_trefi=32)
-        result = run_mc_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(MC_FAMILY, make_mc_artifact, result)
+        self.assert_matches_baseline(MC_FAMILY, "mc-smoke")
 
     def test_model(self):
-        from repro.sweep.model_runner import run_model_sweep
-        spec = next(iter(MODEL_FAMILY.presets.values()))
-        result = run_model_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(MODEL_FAMILY, make_model_artifact, result)
+        self.assert_matches_baseline(MODEL_FAMILY, "fig8")
 
     def test_system(self):
-        from repro.sweep.system_runner import run_system_sweep
-        spec = SYSTEM_FAMILY.preset("system-smoke").with_overrides(
-            n_trefi=32
+        spec = SYSTEM_FAMILY.preset("system-smoke")
+        self.assert_matches_baseline(
+            SYSTEM_FAMILY, "system-smoke",
+            dataclasses.replace(spec, scenarios=spec.scenarios[:1]),
         )
-        result = run_system_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(SYSTEM_FAMILY, make_system_artifact,
-                               result)
 
     def test_perf(self):
-        from repro.sweep.runner import run_sweep
         spec = PERF_FAMILY.preset("fig11").with_overrides(
-            n_trefi=16, workloads=("mcf",)
+            n_trefi=512, workloads=("mcf",)
         )
-        result = run_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(PERF_FAMILY, make_artifact, result)
+        self.assert_matches_baseline(PERF_FAMILY, "fig11", spec)
 
     def test_attack(self):
-        from repro.sweep.attack_runner import run_attack_sweep
-        spec = ATTACK_FAMILY.preset("fig5")
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(ATTACK_FAMILY, make_attack_artifact,
-                               result)
+        self.assert_matches_baseline(ATTACK_FAMILY, "fig5")
+
+
+#: A small spec per family for the revival test.
+SHRUNK = {
+    "sweep": lambda: PERF_FAMILY.preset("fig11").with_overrides(
+        n_trefi=16, workloads=("mcf",)),
+    "attack": lambda: ATTACK_FAMILY.preset("fig5"),
+    "model": lambda: MODEL_FAMILY.preset("fig8"),
+    "mc": lambda: MC_FAMILY.preset("mc-smoke").with_overrides(n_trefi=32),
+    "system": lambda: SYSTEM_FAMILY.preset("system-smoke").with_overrides(
+        n_trefi=32),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_warm_cache_reproduces_cold_artifact(name, tmp_path):
+    """Serial == parallel, and a warm-cache rerun revives every point
+    into the cold run's exact points and aggregates."""
+    family = FAMILIES[name]
+    spec = SHRUNK[name]()
+    serial = family.run(spec, jobs=1, cache_dir=None)
+    cold = family.run(spec, jobs=2, cache_dir=tmp_path)
+    warm = family.run(spec, jobs=1, cache_dir=tmp_path)
+    serial_art, cold_art, warm_art = (
+        written(family, r) for r in (serial, cold, warm)
+    )
+    assert all(set(r.identity) == set(family.identity)
+               for r in cold.results)
+    assert cold.cache_hits == 0
+    assert warm.cache_hits == len(warm_art["points"]) == len(spec.points())
+    assert warm_art["points"] == cold_art["points"]
+    assert warm_art["aggregates"] == cold_art["aggregates"]
+    assert ({k: untimed(p) for k, p in cold_art["points"].items()}
+            == {k: untimed(p) for k, p in serial_art["points"].items()})
+    assert cold_art["aggregates"] == serial_art["aggregates"]
 
 
 class TestFamilyGate:
     def test_check_against_baseline_uses_family_settings(self, tmp_path):
         from repro.sweep.artifacts import write_artifact
-        from repro.sweep.system_runner import run_system_sweep
         spec = SYSTEM_FAMILY.preset("system-smoke").with_overrides(
             n_trefi=32
         )
-        result = run_system_sweep(spec, jobs=1, cache_dir=None)
+        result = SYSTEM_FAMILY.run(spec, jobs=1, cache_dir=None)
         artifact = SYSTEM_FAMILY.make_artifact(result, git_rev="x")
         path = tmp_path / SYSTEM_FAMILY.baseline_name("system-smoke")
         write_artifact(path, artifact)

@@ -5,15 +5,12 @@ from repro.sweep.artifacts import (
     MC_GATED_METRICS,
     MC_SCHEMA,
     check_against_baseline,
-    make_mc_artifact,
     write_artifact,
 )
-from repro.sweep.mc_runner import (
-    McPointResult,
-    execute_mc_point,
-    run_mc_sweep,
-)
+from repro.sweep.family import MC_FAMILY
+from repro.sweep.mc_runner import execute_mc_point
 from repro.sweep.mc_spec import McSweepSpec
+from repro.sweep.runner import PointResult
 from repro.workloads.requests import McWorkload
 
 #: Small but non-trivial grid: hot traffic so MOAT actually alerts.
@@ -37,37 +34,26 @@ def metrics_by_key(result):
 
 class TestRunner:
     def test_serial_results_in_spec_order(self):
-        result = run_mc_sweep(TINY, jobs=1, cache_dir=None)
+        result = MC_FAMILY.run(TINY, jobs=1, cache_dir=None)
         assert [r.key for r in result.results] == [
             p.key for p in TINY.points()
         ]
         assert all(not r.cached for r in result.results)
         assert result.aggregates()["points"] == len(TINY.points())
 
-    def test_parallel_matches_serial_bit_for_bit(self):
-        serial = run_mc_sweep(TINY, jobs=1, cache_dir=None)
-        parallel = run_mc_sweep(TINY, jobs=2, cache_dir=None)
-        assert metrics_by_key(serial) == metrics_by_key(parallel)
-
-    def test_cache_round_trip(self, tmp_path):
-        cache = tmp_path / "cache"
-        first = run_mc_sweep(TINY, jobs=1, cache_dir=cache)
-        second = run_mc_sweep(TINY, jobs=1, cache_dir=cache)
-        assert first.cache_hits == 0
-        assert second.cache_hits == len(TINY.points())
-        assert metrics_by_key(first) == metrics_by_key(second)
-
     def test_point_result_json_round_trip(self):
         point = TINY.points()[0]
         result = execute_mc_point(point)
-        revived = McPointResult.from_json(result.to_json(), cached=True)
+        revived = PointResult.from_json(
+            result.to_json(), MC_FAMILY.identity, cached=True
+        )
         assert revived.key == result.key
         assert revived.metrics == result.metrics
-        assert revived.queue_depth == result.queue_depth
+        assert revived.identity == result.identity
         assert revived.cached
 
     def test_moat_point_alerts_null_does_not(self):
-        result = run_mc_sweep(TINY, jobs=1, cache_dir=None)
+        result = MC_FAMILY.run(TINY, jobs=1, cache_dir=None)
         by_key = metrics_by_key(result)
         moat = [m for k, m in by_key.items() if "|moat|" in k]
         null = [m for k, m in by_key.items() if "|null|" in k]
@@ -77,8 +63,8 @@ class TestRunner:
 
 class TestArtifact:
     def test_schema_and_layout(self):
-        result = run_mc_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_mc_artifact(result, git_rev="test")
+        result = MC_FAMILY.run(TINY, jobs=1, cache_dir=None)
+        artifact = MC_FAMILY.make_artifact(result, git_rev="test")
         assert artifact["schema"] == MC_SCHEMA
         assert artifact["preset"] == "tiny"
         assert artifact["n_trefi"] == TINY.n_trefi
@@ -90,8 +76,8 @@ class TestArtifact:
             assert metric in point["metrics"], metric
 
     def test_baseline_gate_round_trip(self, tmp_path):
-        result = run_mc_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_mc_artifact(result, git_rev="test")
+        result = MC_FAMILY.run(TINY, jobs=1, cache_dir=None)
+        artifact = MC_FAMILY.make_artifact(result, git_rev="test")
         baseline = tmp_path / "mc_tiny.json"
         write_artifact(baseline, artifact)
         ok, problems = check_against_baseline(
@@ -101,9 +87,9 @@ class TestArtifact:
         assert ok, problems
 
     def test_baseline_gate_catches_regression(self, tmp_path):
-        result = run_mc_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_mc_artifact(result, git_rev="test")
-        baseline_data = make_mc_artifact(result, git_rev="test")
+        result = MC_FAMILY.run(TINY, jobs=1, cache_dir=None)
+        artifact = MC_FAMILY.make_artifact(result, git_rev="test")
+        baseline_data = MC_FAMILY.make_artifact(result, git_rev="test")
         key = next(iter(baseline_data["points"]))
         baseline_data["points"][key]["metrics"]["read_p99_ns"] *= 2.0
         baseline = tmp_path / "mc_tiny.json"

@@ -161,6 +161,24 @@ class TestSweep:
         assert code == 0
         assert "4 cached" in capsys.readouterr().out
 
+    def test_failing_point_prints_keyed_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.sweep import mc_runner
+
+        def explode(point):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(mc_runner, "execute_mc_point", explode)
+        code, out = run_mc_sweep_cli(tmp_path)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        first = MC_PRESETS["mc-smoke"].with_overrides(n_trefi=96).points()[0]
+        assert err == [
+            f"error: point {first.key} (config {first.config_hash()}) "
+            "failed: RuntimeError: injected"
+        ]
+
 
 class TestScheds:
     def test_list_scheds_covers_the_registry(self, capsys):
