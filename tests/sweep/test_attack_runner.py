@@ -36,6 +36,26 @@ class TestRunner:
         ]
         assert result.cache_hits == 0
 
+    def test_parallel_bit_identical_to_serial(self, spec, tmp_path):
+        serial = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=None)
+        parallel = ATTACK_FAMILY.run(spec, jobs=2, cache_dir=None)
+        for a, b in zip(serial.results, parallel.results):
+            assert a.key == b.key
+            assert a.metrics == b.metrics
+
+    def test_cache_roundtrip(self, spec, tmp_path):
+        cache = tmp_path / "cache"
+        first = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=cache)
+        second = ATTACK_FAMILY.run(spec, jobs=1, cache_dir=cache)
+        assert first.cache_hits == 0
+        assert second.cache_hits == len(spec.points())
+        for a, b in zip(first.results, second.results):
+            assert a.metrics == b.metrics
+        # Cached points keep their original compute cost.
+        assert second.compute_time_s == pytest.approx(
+            first.compute_time_s, rel=1e-6
+        )
+
     def test_corrupt_cache_entry_recomputed(self, spec, tmp_path):
         cache = tmp_path / "cache"
         ATTACK_FAMILY.run(spec, jobs=1, cache_dir=cache)

@@ -53,6 +53,19 @@ class TestSerialRunner:
 
 
 class TestCache:
+    def test_rerun_hits_cache_with_identical_metrics(self, tmp_path):
+        spec = tiny_spec()
+        cache = tmp_path / "cache"
+        cold = PERF_FAMILY.run(spec, jobs=1, cache_dir=cache)
+        warm = PERF_FAMILY.run(spec, jobs=1, cache_dir=cache)
+        assert cold.cache_hits == 0
+        assert warm.cache_hits == len(spec.points())
+        assert [r.metrics for r in warm.results] == [r.metrics for r in cold.results]
+        # Cached points keep their original compute time, so the
+        # perf-trajectory number survives warm reruns.
+        assert warm.compute_time_s == pytest.approx(cold.compute_time_s)
+        assert warm.compute_time_s > warm.wall_clock_s
+
     def test_config_change_misses_cache(self, tmp_path):
         cache = tmp_path / "cache"
         PERF_FAMILY.run(tiny_spec(), jobs=1, cache_dir=cache)
@@ -204,6 +217,15 @@ class TestPointFailure:
 
 
 class TestParallelRunner:
+    def test_parallel_equals_serial(self, tmp_path):
+        spec = tiny_spec(ath=(64, 128))
+        serial = PERF_FAMILY.run(spec, jobs=1, cache_dir=None)
+        parallel = PERF_FAMILY.run(spec, jobs=2, cache_dir=tmp_path / "c")
+        assert [r.key for r in parallel.results] == [r.key for r in serial.results]
+        assert [r.metrics for r in parallel.results] == [
+            r.metrics for r in serial.results
+        ]
+
     def test_parallel_stochastic_policy_is_deterministic(self, tmp_path):
         spec = tiny_spec(policies=(PolicySpec.of("para", probability=0.01),))
         serial = PERF_FAMILY.run(spec, jobs=1, cache_dir=None)

@@ -48,6 +48,19 @@ class TestRunner:
         ]
         assert result.aggregates()["points"] == len(TINY.points())
 
+    def test_parallel_matches_serial_bit_for_bit(self):
+        serial = SYSTEM_FAMILY.run(TINY, jobs=1, cache_dir=None)
+        parallel = SYSTEM_FAMILY.run(TINY, jobs=3, cache_dir=None)
+        assert metrics_by_key(serial) == metrics_by_key(parallel)
+
+    def test_cache_round_trip(self, tmp_path):
+        cache = tmp_path / "cache"
+        first = SYSTEM_FAMILY.run(TINY, jobs=1, cache_dir=cache)
+        second = SYSTEM_FAMILY.run(TINY, jobs=1, cache_dir=cache)
+        assert first.cache_hits == 0
+        assert second.cache_hits == len(TINY.points())
+        assert metrics_by_key(first) == metrics_by_key(second)
+
     def test_point_result_json_round_trip(self):
         result = execute_system_point(TINY.points()[0])
         revived = PointResult.from_json(
