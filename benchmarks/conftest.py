@@ -41,6 +41,7 @@ from repro.report.pipeline import (
     render_figure_text,
 )
 from repro.report.pipeline import run_figure as _run_figure
+from repro.sim import backend
 from repro.sweep.artifacts import git_revision, utc_now
 from repro.sweep.spec import SWEEP_WORKLOADS as _SWEEP_WORKLOADS
 from repro.workloads.profiles import TABLE4_PROFILES, WorkloadProfile
@@ -120,6 +121,22 @@ def record_json(request):
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
     return _record
+
+
+def kernel_rows() -> Dict[str, Optional[backend.Kernels]]:
+    """Row name -> kernel pair for the hot-path benchmarks: the pure
+    loops, the interpreted kernels, and the compiled pair where the
+    platform has one."""
+    rows = {
+        "pure": None,
+        "kernel": backend.Kernels(
+            "kernel", backend._act_burst, backend._serve_closed
+        ),
+    }
+    compiled = backend.platform_kernels()
+    if compiled is not None:
+        rows[compiled.name] = compiled
+    return rows
 
 
 def sweep_profiles() -> List[WorkloadProfile]:

@@ -10,13 +10,13 @@ Two measurements pin the closed-loop subsystem's speed:
   bit-for-bit (the run is deterministic by contract).
 * ``test_mc_backend_speedups`` serves one pre-generated stream through
   the retained scalar reference (``run_streams_reference``) and
-  through the struct-of-arrays fast path under each backend, asserts
+  through the struct-of-arrays fast path on each kernel pair, asserts
   the completions are identical, and pins the speedups: the pure
   SoA rewrite must be at least 2x the scalar loop, and the compiled
-  ``numba`` backend at least 10x (asserted only where numba is
-  installed). The interpreted ``kernel`` backend is recorded but not
-  gated — it exists to execute the numba kernel *code path* without
-  numba, where numpy scalar indexing makes it slower than plain
+  ``numba`` kernels at least 10x (asserted only where numba is
+  installed). The interpreted kernels (``kernel`` row) are recorded
+  but not gated — they execute the numba kernel *code path* without
+  numba, where numpy scalar indexing makes them slower than plain
   Python lists.
 
 Like ``test_engine_hotpath.py``, this deliberately bypasses the
@@ -30,11 +30,13 @@ scheduler noise.
 import dataclasses
 import time
 
-from benchmarks.conftest import FAST
+import pytest
+
+from benchmarks.conftest import FAST, kernel_rows
 from repro.mc.controller import MemoryController
 from repro.obs import TraceRecorder
 from repro.report.tables import format_table
-from repro.sim.backend import numba_available
+from repro.sim import backend
 from repro.sim.mc import McRunConfig, build_mc_channel, run_mc
 from repro.sweep.mc_spec import HAMMER_WORKLOAD
 from repro.workloads.requests import generate_requests
@@ -51,10 +53,9 @@ REQUIRED_PURE_SPEEDUP = 2.0
 REQUIRED_NUMBA_SPEEDUP = 10.0
 
 
-def _hammer_config(backend=None) -> McRunConfig:
+def _hammer_config() -> McRunConfig:
     return McRunConfig(
         ath=32, workload=HAMMER_WORKLOAD, banks=4, n_trefi=N_TREFI,
-        backend=backend,
     )
 
 
@@ -184,18 +185,20 @@ def test_mc_tracing_overhead(report, record_json):
     )
 
 
-def _serve_timed(requests, backend, reference=False):
+def _serve_timed(requests, kernels=None, reference=False):
     """Best-of-N serve of one stream; returns (seconds, completions).
 
-    A fresh channel/controller per round keeps every measurement a
-    cold, pristine-channel run — the configuration the fast path
-    dispatches on.
+    A fresh channel/controller per round, built on ``kernels``, keeps
+    every measurement a cold, pristine-channel run — the configuration
+    the fast path dispatches on.
     """
-    config = _hammer_config(backend=backend)
+    config = _hammer_config()
     best_s = None
     completions = None
     for _ in range(ROUNDS):
-        channel = build_mc_channel(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backend, "_kernels", kernels)
+            channel = build_mc_channel(config)
         controller = MemoryController(channel, config.mc_config())
         started = time.perf_counter()
         if reference:
@@ -222,27 +225,23 @@ def test_mc_backend_speedups(report, record_json):
         trefi_ns=config.timing.t_refi,
     )
 
-    ref_s, ref_out = _serve_timed(requests, backend=None, reference=True)
-    backends = ["pure", "kernel"]
-    if numba_available():
-        backends.append("numba")
-
+    ref_s, ref_out = _serve_timed(requests, reference=True)
     rows = [
         ("scalar reference", f"{len(requests) / ref_s:,.0f}", "1.00x"),
     ]
     measured = {}
-    for backend in backends:
-        elapsed, out = _serve_timed(requests, backend=backend)
+    for name, kernels in kernel_rows().items():
+        elapsed, out = _serve_timed(requests, kernels)
         assert out == ref_out, (
-            f"backend {backend!r} diverged from the scalar reference"
+            f"{name!r} serve path diverged from the scalar reference"
         )
         speedup = ref_s / elapsed
-        measured[backend] = {
+        measured[name] = {
             "requests_per_s": len(requests) / elapsed,
             "speedup_vs_reference": speedup,
         }
         rows.append(
-            (backend, f"{len(requests) / elapsed:,.0f}", f"{speedup:.2f}x")
+            (name, f"{len(requests) / elapsed:,.0f}", f"{speedup:.2f}x")
         )
 
     report(
@@ -258,7 +257,7 @@ def test_mc_backend_speedups(report, record_json):
             "requests": len(requests),
             "reference_requests_per_s": len(requests) / ref_s,
             "backends": measured,
-            "numba_available": numba_available(),
+            "numba_available": "numba" in measured,
             "required_pure_speedup": REQUIRED_PURE_SPEEDUP,
             "required_numba_speedup": REQUIRED_NUMBA_SPEEDUP,
         },
@@ -269,7 +268,7 @@ def test_mc_backend_speedups(report, record_json):
         f"pure SoA serve loop only {pure:.2f}x the scalar reference "
         f"(need {REQUIRED_PURE_SPEEDUP}x)"
     )
-    if numba_available():
+    if "numba" in measured:
         compiled = measured["numba"]["speedup_vs_reference"]
         assert compiled >= REQUIRED_NUMBA_SPEEDUP, (
             f"numba serve loop only {compiled:.2f}x the scalar "

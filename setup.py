@@ -47,8 +47,8 @@ setup(
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
     extras_require={
         "test": ["pytest", "pytest-benchmark", "pytest-xdist", "hypothesis"],
-        # Optional compiled hot-path kernels (REPRO_BACKEND=numba /
-        # --backend numba). Pure-python runs need neither package and
+        # Optional compiled hot-path kernels, used automatically when
+        # numba imports. Pure-python runs need neither package and
         # produce bit-identical results.
         "fast": ["numpy", "numba"],
     },

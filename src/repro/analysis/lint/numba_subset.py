@@ -1,20 +1,17 @@
 """The ``numba-subset`` rule: kernel functions stay co-compilable.
 
-The ``kernel`` and ``numba`` backends execute the *same* source
-functions — interpreted in one case, ``numba.njit``-compiled in the
-other — and the bit-identity contract between them only holds while
-those functions stay inside the numba-compatible subset (flat numpy
-arrays and scalars; no dicts, sets, closures, comprehensions,
-``**kwargs``, reflection, or context managers). A construct that the
-interpreter happily runs but numba cannot compile would silently fork
-the two backends the first time someone installs the ``[fast]`` extra.
+The hot-loop kernels run ``numba.njit``-compiled where numba imports
+and interpreted in the tests that pin them against the pure loops, and
+the bit-identity contract between the two only holds while those
+functions stay inside the numba-compatible subset (flat numpy arrays
+and scalars; no dicts, sets, closures, comprehensions, ``**kwargs``,
+reflection, or context managers). A construct that the interpreter
+happily runs but numba cannot compile would silently fork the two the
+first time someone installs the ``[fast]`` extra.
 
 The rule finds kernel functions structurally rather than by name: any
-function referenced as a kernel slot of a ``Backend(...)``
-registration (every keyword except the descriptive
-``name``/``use_kernels``/``compiled``/``description`` fields) or
-passed through an ``njit(...)``/``njit`` wrapper is checked, so new
-kernels are covered the moment they are registered.
+function passed through an ``njit(...)``/``njit`` wrapper is checked,
+so new kernels are covered the moment they are compiled.
 """
 
 from __future__ import annotations
@@ -27,14 +24,9 @@ from repro.analysis.lint.core import FileContext, Finding
 NAME = "numba-subset"
 
 DESCRIPTION = (
-    "functions registered as Backend kernels (or njit-wrapped) use "
-    "only the numba-compatible subset"
+    "njit-wrapped kernel functions use only the numba-compatible "
+    "subset"
 )
-
-#: ``Backend(...)`` keywords that are descriptive, not kernel slots.
-_BACKEND_META_KEYWORDS = frozenset({
-    "name", "use_kernels", "compiled", "description",
-})
 
 #: Reflection / dynamic builtins numba cannot compile.
 _FORBIDDEN_CALLS = frozenset({
@@ -71,23 +63,10 @@ def _is_njit(func: ast.AST) -> bool:
 
 
 def _kernel_names(tree: ast.Module) -> Set[str]:
-    """Names of functions registered as backend kernels."""
+    """Names of functions passed through an ``njit`` wrapper."""
     names: Set[str] = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        is_backend = (
-            (isinstance(func, ast.Name) and func.id == "Backend")
-            or (isinstance(func, ast.Attribute) and func.attr == "Backend")
-        )
-        if is_backend:
-            for keyword in node.keywords:
-                if (keyword.arg
-                        and keyword.arg not in _BACKEND_META_KEYWORDS
-                        and isinstance(keyword.value, ast.Name)):
-                    names.add(keyword.value.id)
-        elif _is_njit(func):
+        if isinstance(node, ast.Call) and _is_njit(node.func):
             for arg in node.args:
                 if isinstance(arg, ast.Name):
                     names.add(arg.id)

@@ -79,7 +79,6 @@ from repro.sim.backend import (
     SERVE_ADVANCE,
     SERVE_ALERT,
     SERVE_DONE,
-    resolve_backend,
 )
 from repro.sim.channel import ChannelSim
 
@@ -135,7 +134,7 @@ class ServedBatch:
 
     The hot serving paths record completions as parallel flat arrays
     (request index, enqueue, start, complete) instead of allocating one
-    :class:`CompletedRequest` per request — at compiled-backend
+    :class:`CompletedRequest` per request — at compiled-kernel
     throughput the per-completion object construction would dominate
     the run. :meth:`completions` materializes the classic object list
     on demand (API compatibility); the summary helpers below compute
@@ -219,6 +218,24 @@ class ServedBatch:
         return sum(1 for hit in self.row_hit if hit)
 
 
+def _sync_engine(channel: ChannelSim, sub, pending_acts: int, e_now,
+                 e_chfree, bank_free, cmd_free) -> None:
+    """Hand the fast path's mirrored engine state back to the engine.
+
+    Flushes the locally batched ACT count into the ABO protocol and the
+    sub-channel total, then writes back the engine clock, the channel
+    and per-bank issue floors, and the channel command front. Called
+    only at REF, ALERT and idle boundaries, never once per request.
+    """
+    if pending_acts:
+        sub.abo.note_activations(pending_acts)
+        sub.total_acts += pending_acts
+    sub.now = float(e_now)
+    sub._channel_free = float(e_chfree)
+    sub._bank_free[:] = [float(free) for free in bank_free]
+    channel._cmd_free = float(cmd_free)
+
+
 class MemoryController:
     """Request-driven front-end of one :class:`ChannelSim`.
 
@@ -239,9 +256,6 @@ class MemoryController:
             channel.timing.t_act if config.t_col is None else config.t_col
         )
         self._t_cmd_gap = channel.config.t_cmd_gap_resolved
-        #: Kernel backend shared with the engine (same resolution, so
-        #: the controller and its channel always agree on a choice).
-        self._backend = resolve_backend(channel.config.sim.backend)
         #: Observability sink (:mod:`repro.obs`). Queue events are
         #: derived post hoc from the served batch, so recorder presence
         #: never changes dispatch and never touches the serving loops.
@@ -358,7 +372,7 @@ class MemoryController:
         One request at a time through per-bank tuple queues and
         :meth:`ChannelSim.activate` — the implementation every
         committed baseline was produced with, retained verbatim as the
-        equivalence oracle for :meth:`_run_fast` (see the backend
+        equivalence oracle for :meth:`_run_fast` (see the fast-path
         property tests) and as the general path for configurations the
         fast path does not cover.
         """
@@ -571,7 +585,8 @@ class MemoryController:
         have. ABO activation counts are accumulated locally and flushed
         before anything that may consult ``can_assert``.
 
-        Under a kernel backend the whole
+        When the platform compiles the kernels (see
+        :mod:`repro.sim.backend`), the whole
         admit/pick/issue/policy-observe step additionally runs inside
         :func:`repro.sim.backend._serve_closed` over zero-copy views
         (2-D dense-counter block, SAFE-shadow registers, MOAT tracker
@@ -601,16 +616,13 @@ class MemoryController:
         banks = sub.banks
         pracs = [bank._prac for bank in banks]
         shadows = [engine.shadow for engine in sub.refresh]
-        e_bank_free = sub._bank_free
-        INF = float("inf")
 
-        # Serve-kernel eligibility: every bank on a kernel-supported
-        # policy (MOAT or the unprotected baseline), homogeneous across
-        # banks (the kernel specializes one level/threshold set).
-        backend = self._backend
+        # Serve-kernel eligibility: the sub-channel runs kernels, and
+        # every bank is on a kernel-supported policy (MOAT or the
+        # unprotected baseline), homogeneous across banks (the kernel
+        # specializes one level/threshold set).
         use_kernel = (
-            backend.use_kernels
-            and getattr(sub, "_use_kernels", False)
+            sub._use_kernels
             and all(lv >= 0 for lv in sub._kernel_levels)
             and len(set(sub._kernel_levels)) == 1
         )
@@ -625,7 +637,7 @@ class MemoryController:
         if use_kernel:
             import numpy as np
 
-            serve_kernel = backend.serve_closed
+            serve_kernel = sub._kernels.serve_closed
             issue = np.array([r.issue_ns for r in ordered], dtype=np.float64)
             rbank = np.array([r.bank for r in ordered], dtype=np.int64)
             rrow = np.array([r.row for r in ordered], dtype=np.int64)
@@ -689,12 +701,7 @@ class MemoryController:
         e_chfree = 0.0
         next_ref_s = sub._next_ref
         next_ext_s = sub._next_external
-        episode = sub._episode
-        window_end_s = (
-            episode.window_end
-            if episode is not None and not episode.processed
-            else INF
-        )
+        window_end_s = sub._alert_window_end()
 
         while out_n < n:
             if serve_kernel is not None and not abo._pending:
@@ -764,23 +771,12 @@ class MemoryController:
                     # The triggering ACT committed inside the kernel;
                     # latch the request exactly as the pure step does.
                     policies[int(istate[I_ALERT])].alerts_requested += 1
-                    if pending_acts:
-                        abo.note_activations(pending_acts)
-                        sub.total_acts += pending_acts
-                        pending_acts = 0
-                    sub.now = float(e_now)
-                    sub._channel_free = float(e_chfree)
-                    for b in range(n_banks):
-                        e_bank_free[b] = float(bank_free[b])
-                    channel._cmd_free = float(cmd_free)
+                    _sync_engine(channel, sub, pending_acts, e_now,
+                                 e_chfree, bank_free, cmd_free)
+                    pending_acts = 0
                     abo.request_alert()
                     sub._maybe_assert_alert(float(fstate[F_LAST]))
-                    episode = sub._episode
-                    window_end_s = (
-                        episode.window_end
-                        if episode is not None and not episode.processed
-                        else INF
-                    )
+                    window_end_s = sub._alert_window_end()
                     continue
                 # SERVE_ADVANCE / SERVE_EVENT: one scalar step below
                 # re-derives the same decision and hands the engine
@@ -814,26 +810,15 @@ class MemoryController:
                 # Nothing to issue: jump to the next arrival.
                 target = issue[next_i]
                 if e_now < target:
-                    if pending_acts:
-                        abo.note_activations(pending_acts)
-                        sub.total_acts += pending_acts
-                        pending_acts = 0
-                    sub.now = float(e_now)
-                    sub._channel_free = float(e_chfree)
-                    for b in range(n_banks):
-                        e_bank_free[b] = float(bank_free[b])
-                    channel._cmd_free = float(cmd_free)
+                    _sync_engine(channel, sub, pending_acts, e_now,
+                                 e_chfree, bank_free, cmd_free)
+                    pending_acts = 0
                     channel.advance_to(float(target))
                     e_now = sub.now
                     e_chfree = sub._channel_free
                     next_ref_s = sub._next_ref
                     next_ext_s = sub._next_external
-                    episode = sub._episode
-                    window_end_s = (
-                        episode.window_end
-                        if episode is not None and not episode.processed
-                        else INF
-                    )
+                    window_end_s = sub._alert_window_end()
                 if target > now:
                     now = target
                 continue
@@ -888,26 +873,15 @@ class MemoryController:
                 q_head[qi] = (head + 1) % cap
                 q_count[qi] -= 1
                 queued -= 1
-                if pending_acts:
-                    abo.note_activations(pending_acts)
-                    sub.total_acts += pending_acts
-                    pending_acts = 0
-                sub.now = float(e_now)
-                sub._channel_free = float(e_chfree)
-                for b in range(n_banks):
-                    e_bank_free[b] = float(bank_free[b])
-                channel._cmd_free = float(cmd_free)
+                _sync_engine(channel, sub, pending_acts, e_now, e_chfree,
+                             bank_free, cmd_free)
+                pending_acts = 0
                 result = channel.activate(int(row), bank=qi, subchannel=0)
                 e_now = sub.now
                 e_chfree = sub._channel_free
                 next_ref_s = sub._next_ref
                 next_ext_s = sub._next_external
-                episode = sub._episode
-                window_end_s = (
-                    episode.window_end
-                    if episode is not None and not episode.processed
-                    else INF
-                )
+                window_end_s = sub._alert_window_end()
                 start = result.time
                 complete = start + t_rc
                 if was_full:
@@ -953,57 +927,29 @@ class MemoryController:
             policy.on_activate(row, count)
             if policy.alert_requested:
                 policy.alert_requested = False
-                if pending_acts:
-                    abo.note_activations(pending_acts)
-                    sub.total_acts += pending_acts
-                    pending_acts = 0
-                sub.now = float(e_now)
-                sub._channel_free = float(e_chfree)
-                for b in range(n_banks):
-                    e_bank_free[b] = float(bank_free[b])
-                channel._cmd_free = float(cmd_free)
+                _sync_engine(channel, sub, pending_acts, e_now, e_chfree,
+                             bank_free, cmd_free)
+                pending_acts = 0
                 abo.request_alert()
                 sub._maybe_assert_alert(float(complete))
-                episode = sub._episode
-                window_end_s = (
-                    episode.window_end
-                    if episode is not None and not episode.processed
-                    else INF
-                )
+                window_end_s = sub._alert_window_end()
             elif abo._pending:
                 # A latched request may assert on any ACT (the per-ACT
                 # check sub.activate performs); keep the engine's ABO
                 # counters exact while one is outstanding.
-                if pending_acts:
-                    abo.note_activations(pending_acts)
-                    sub.total_acts += pending_acts
-                    pending_acts = 0
-                sub.now = float(e_now)
-                sub._channel_free = float(e_chfree)
-                for b in range(n_banks):
-                    e_bank_free[b] = float(bank_free[b])
-                channel._cmd_free = float(cmd_free)
+                _sync_engine(channel, sub, pending_acts, e_now, e_chfree,
+                             bank_free, cmd_free)
+                pending_acts = 0
                 sub._maybe_assert_alert(float(complete))
-                episode = sub._episode
-                window_end_s = (
-                    episode.window_end
-                    if episode is not None and not episode.processed
-                    else INF
-                )
+                window_end_s = sub._alert_window_end()
 
         # Final writeback: statistics, engine scalars, episode flush.
-        if pending_acts:
-            abo.note_activations(pending_acts)
-            sub.total_acts += pending_acts
+        _sync_engine(channel, sub, pending_acts, e_now, e_chfree,
+                     bank_free, cmd_free)
         for qi in range(n_banks):
             acts = int(acts_bank[qi])
             if acts:
                 banks[qi].note_activations(acts)
-        sub.now = float(e_now)
-        sub._channel_free = float(e_chfree)
-        for b in range(n_banks):
-            e_bank_free[b] = float(bank_free[b])
-        channel._cmd_free = float(cmd_free)
         channel.flush()
         if serve_kernel is not None:
             return ServedBatch(

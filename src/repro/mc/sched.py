@@ -266,8 +266,10 @@ class PrioritySched(_QosSched):
     ) -> None:
         super().__init__(priorities, t_col, depth)
         self.age_bound_ns = age_bound_ns
+        # Admission already stalls on a full queue, so a share above 1
+        # caps nothing; clamping keeps a huge share from overflowing.
         self._limit = (
-            None if depth is None else max(1, int(depth * share))
+            None if depth is None else max(1, int(depth * min(share, 1.0)))
         )
         #: id(request) -> actual admission time. The queue tuples'
         #: enqueue stamp inherits issue-time floors (a policy-throttled
@@ -497,6 +499,10 @@ class _SchedKind:
     #: Whether the builder takes the bank-queue ``depth`` (the
     #: occupancy-aware QoS kinds gate admission on queue share).
     needs_depth: bool = False
+    #: Parameters that must hold whole numbers (counts).
+    integers: Tuple[str, ...] = ()
+    #: ``(name, floor)`` pairs tighter than the default ``> 0``.
+    floors: Tuple[Tuple[str, float], ...] = ()
 
 
 _REGISTRY: Dict[str, _SchedKind] = {
@@ -535,6 +541,10 @@ _REGISTRY: Dict[str, _SchedKind] = {
             description="per-client token-bucket bandwidth cap at "
             "admission (gbps<i> overrides client i), FR-FCFS service",
             indexed=("gbps",),
+            # A bucket that cannot hold one whole credit never admits;
+            # below 1 MB/s (one 64 B line per ~16 tREFI) a shrinking
+            # cap stretches simulated time without bound.
+            floors=(("burst", 1.0), ("gbps", 1e-3)),
         ),
         _SchedKind(
             name="slo",
@@ -545,6 +555,7 @@ _REGISTRY: Dict[str, _SchedKind] = {
             "clients are throttled and deprioritized until their "
             "tail recovers",
             needs_depth=True,
+            integers=("window",),
         ),
     )
 }
@@ -577,15 +588,15 @@ def is_fast_path_sched(scheduler: str) -> bool:
     return _REGISTRY[scheduler].fast_path
 
 
-def _indexed_base(kind: _SchedKind, name: str) -> bool:
-    """Whether ``name`` is a valid per-client indexed param spelling."""
+def _indexed_base(kind: _SchedKind, name: str) -> Optional[str]:
+    """The base param of a per-client indexed spelling, else ``None``."""
     for base in kind.indexed:
         if (
             name.startswith(base)
             and name[len(base):].isdigit()
         ):
-            return True
-    return False
+            return base
+    return None
 
 
 def _kind_of(scheduler: str) -> _SchedKind:
@@ -601,8 +612,13 @@ def _kind_of(scheduler: str) -> _SchedKind:
 def normalize_sched_params(
     sched_params: Sequence[Sequence[Any]],
 ) -> Tuple[Tuple[str, Any], ...]:
-    """Canonical spelling: a name-sorted tuple of (name, value) pairs."""
-    return tuple(sorted((str(k), v) for k, v in sched_params))
+    """Canonical spelling: a name-sorted tuple of (name, value) pairs.
+
+    Sorted on the name alone, so duplicate names with values of
+    unorderable types reach :func:`validate_sched`'s duplicate check.
+    """
+    return tuple(sorted(((str(k), v) for k, v in sched_params),
+                        key=lambda item: item[0]))
 
 
 def validate_sched(
@@ -613,8 +629,10 @@ def validate_sched(
 
     Raises :class:`ValueError` with the pinned ``unknown scheduler``
     message for unregistered kinds, and rejects parameters the kind
-    does not declare — every config front-end (``McConfig``,
-    ``McRunConfig``, ``SystemRunConfig``) calls this one helper.
+    does not declare, non-finite or non-positive values, fractional
+    counts, and values under a kind's floor — every config front-end
+    (``McConfig``, ``McRunConfig``, ``SystemRunConfig``) calls this
+    one helper, so a bad value fails at construction, not in a shard.
     """
     kind = _kind_of(scheduler)
     names = {str(k) for k, _ in sched_params}
@@ -630,13 +648,27 @@ def validate_sched(
             f"unknown sched param {sorted(unknown)[0]!r} for "
             f"{scheduler!r}; known: {known}"
         )
+    floors = dict(kind.floors)
     for name, value in sched_params:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(
                 f"sched param {name!r} must be a number, got {value!r}"
             )
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"sched param {name!r} must be a finite number")
         if value <= 0:
             raise ValueError(f"sched param {name!r} must be positive")
+        if name in kind.integers and value != int(value):
+            raise ValueError(f"sched param {name!r} must be a whole number")
+        floor = floors.get(_indexed_base(kind, name) or name)
+        if floor is not None and value < floor:
+            raise ValueError(
+                f"sched param {name!r} must be at least {floor:g}"
+            )
 
 
 def sched_display(

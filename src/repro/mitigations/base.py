@@ -129,7 +129,7 @@ class CounterTable:
         through it are visible to the table (and vice versa); the
         order bookkeeping is untouched, so kernels must only update
         rows that are already tracked. Requires numpy (kernel
-        backends only — the pure path never calls this).
+        paths only — the pure path never calls this).
         """
         import numpy as np
 

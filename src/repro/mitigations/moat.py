@@ -104,7 +104,7 @@ class MoatPolicy(MitigationPolicy):
         The views alias the live register file, so a kernel that
         mutates them mutates the policy; only :attr:`_fill` needs
         explicit synchronization after a kernel call. Requires numpy
-        (kernel backends only — the pure path never calls this).
+        (kernel paths only — the pure path never calls this).
         """
         if self._views is None:
             import numpy as np

@@ -1,7 +1,7 @@
 """Run provenance: who produced a result, with what, from where.
 
 A provenance block answers the questions drift debugging always starts
-with — which package version, which kernel backend, which git state,
+with — which package version, which hot-loop kernels, which git state,
 which seed schedule, and (for sweeps) how much of the run came from
 the cache. It is **injected** into artifacts as a separate top-level
 key: :func:`repro.sweep.artifacts.diff_artifacts` compares ``points``
@@ -23,7 +23,6 @@ PROVENANCE_VERSION = 1
 
 
 def run_provenance(
-    backend: Optional[str] = None,
     config_hash: Optional[str] = None,
     seeds: Optional[Dict[str, object]] = None,
     cache: Optional[Dict[str, object]] = None,
@@ -31,10 +30,11 @@ def run_provenance(
 ) -> Dict[str, object]:
     """Assemble a provenance block for an artifact.
 
+    The ``backend`` field names the hot-loop kernels the simulators
+    run in this process: ``"numba"`` when the platform compiles them
+    (:func:`repro.sim.backend.platform_kernels`), else ``"pure"``.
+
     Args:
-        backend: Requested backend name (``None`` resolves through
-            ``REPRO_BACKEND`` exactly like the simulators do, so the
-            recorded name is the one that actually ran).
         config_hash: Identity hash of the run's configuration.
         seeds: Seed schedule (e.g. ``{"seed": 0}`` or a per-client
             map) — whatever fully determines the run's randomness.
@@ -44,14 +44,15 @@ def run_provenance(
         extra: Additional identity fields merged in verbatim.
     """
     from repro import __version__
-    from repro.sim.backend import resolve_backend
+    from repro.sim.backend import platform_kernels
     from repro.sweep.artifacts import git_describe, utc_now
 
+    kernels = platform_kernels()
     block: Dict[str, object] = {
         "provenance_version": PROVENANCE_VERSION,
         "package_version": __version__,
         "python_version": platform.python_version(),
-        "backend": resolve_backend(backend).name,
+        "backend": "pure" if kernels is None else kernels.name,
         "git_describe": git_describe(),
         "created_utc": utc_now(),
     }

@@ -1,87 +1,29 @@
-"""Simulation kernel backends: ``pure``, ``kernel``, and ``numba``.
+"""The MOAT hot-loop kernels and the pair the platform can run.
 
 The engine and the memory controller each have one narrow hot loop —
 the ACT burst between scheduled events (:meth:`SubchannelSim.
 activate_many`) and the closed-page request-serving loop
-(:meth:`MemoryController.run_streams`). This module registers
-interchangeable implementations of those loops behind one API:
+(:meth:`MemoryController.serve_streams`). This module holds both loops
+as flat-array kernel functions and resolves, once per process, the
+pair the platform can compile: the :func:`numba.njit` kernels when
+numba imports, else ``None``, in which case the engine and controller
+run their struct-of-arrays python loops. Nothing selects between the
+two — both are bit-identical (pinned by the engine/controller
+equivalence suites and by every committed baseline), so the choice
+can change wall-clock only and never enters a sweep point identity.
 
-* ``pure`` (default) — the struct-of-arrays python loops. No
-  third-party dependency; this is the implementation every committed
-  baseline was produced with.
-* ``numba`` — the same loops as flat-array kernel functions compiled
-  with :func:`numba.njit`. Optional: when numba is not installed the
-  backend **degrades gracefully to** ``pure`` (one warning, identical
-  results).
-* ``kernel`` — the numba kernel functions executed by the plain
-  python interpreter. Internal/testing backend: it exercises the
-  exact kernel code paths (array packing, state hand-off, stop
-  codes) without requiring numba, which is how CI environments
-  without a compiler still pin kernel==pure bit-identity.
-
-Selection precedence: an explicit config field
-(:attr:`SimConfig.backend` / :attr:`McRunConfig.backend`) wins, then
-the ``REPRO_BACKEND`` environment variable, then ``pure``. The CLI's
-``--backend`` flag sets the environment variable so process-pool
-workers inherit the choice.
-
-Backends are **equivalence-gated, not trusted**: every backend must
-be bit-identical to ``pure`` across all seven policy kinds, both row
-policies, and every committed sweep baseline (see DESIGN.md). That is
-why ``backend`` is hashed out of every sweep point identity — it can
-never change a result, only the wall-clock spent producing it.
-
-Kernel support matrix: the compiled loops specialize the narrow hot
-case (dense counters, closed page, single sub-channel, MOAT or the
-unprotected baseline). Everything else — PARA's RNG, Graphene's
-Misra-Gries table, open-page scheduling, multi-client crossbars —
-stays on the general pure path, per-bank and per-run, silently and
-bit-identically (the Quark approach: specialize the narrow kernel,
-keep the general path for the long tail).
+The compiled loops specialize the narrow hot case (dense counters,
+closed page, single sub-channel, MOAT or the unprotected baseline).
+Everything else — PARA's RNG, Graphene's Misra-Gries table, open-page
+scheduling, multi-client crossbars — stays on the general pure path,
+per-bank and per-run (the Quark approach: specialize the narrow kernel
+when the platform can compile it, keep the general path for the long
+tail).
 """
 
 from __future__ import annotations
 
-import os
-import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-#: Environment variable consulted when no config field names a backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Registered backend names, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = ("pure", "kernel", "numba")
-
-# ---------------------------------------------------------------------------
-# Availability probing
-# ---------------------------------------------------------------------------
-
-_NUMBA_PROBE: Optional[bool] = None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba JIT compiler is importable."""
-    global _NUMBA_PROBE
-    if _NUMBA_PROBE is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_PROBE = True
-        except ImportError:
-            _NUMBA_PROBE = False
-    return _NUMBA_PROBE
-
-
-def numpy_available() -> bool:
-    """Whether numpy is importable (required by kernel backends)."""
-    try:
-        import numpy  # noqa: F401
-
-        return True
-    except ImportError:  # pragma: no cover - numpy ships with the image
-        return False
-
+from typing import Callable, NamedTuple, Optional
 
 # ---------------------------------------------------------------------------
 # Kernel functions
@@ -89,7 +31,7 @@ def numpy_available() -> bool:
 #
 # Written in the numba-compatible subset (numpy arrays and scalars
 # only; no dicts, no None, no object attributes) so one source serves
-# both the ``kernel`` (interpreted) and ``numba`` (jitted) backends.
+# both the plain interpreter (in tests) and ``numba.njit``.
 # All mutable state crosses the boundary through preallocated arrays;
 # scalars that must round-trip live in small ``fstate``/``istate``
 # vectors. The surrounding wrappers (engine / controller) own every
@@ -407,126 +349,34 @@ def _serve_closed(issue, rbank, rrow,
     return code
 
 
-# ---------------------------------------------------------------------------
-# Backend objects
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Backend:
-    """One registered kernel implementation set.
-
-    Attributes:
-        name: Registered backend name.
-        use_kernels: Whether the engine/controller should route
-            eligible hot loops through :attr:`act_burst` /
-            :attr:`serve_closed` (False for ``pure``).
-        compiled: Whether the kernels are JIT-compiled (``numba``
-            with numba importable). The interpreted ``kernel``
-            backend has ``use_kernels=True, compiled=False``.
-        act_burst: The engine ACT-burst kernel (``None`` for pure).
-        serve_closed: The controller serve kernel (``None`` for pure).
-        description: One-line description surfaced by ``repro backend``
-            listings and the lint registry-coverage rule.
-    """
+class Kernels(NamedTuple):
+    """A kernel pair and the name run provenance records for it."""
 
     name: str
-    use_kernels: bool
-    compiled: bool
-    act_burst: Optional[Callable] = None
-    serve_closed: Optional[Callable] = None
-    description: str = ""
+    act_burst: Callable
+    serve_closed: Callable
 
 
-_PURE = Backend(
-    name="pure", use_kernels=False, compiled=False,
-    description="reference event-loop interpreter, no kernels; the "
-    "semantics the other backends must match bit-for-bit",
-)
-_KERNEL = Backend(
-    name="kernel", use_kernels=True, compiled=False,
-    act_burst=_act_burst, serve_closed=_serve_closed,
-    description="struct-of-arrays hot-loop kernels, interpreted; "
-    "same source functions the numba backend compiles",
-)
-#: Registration metadata for the numba backend, kept outside
-#: :func:`_jit_backend` so listings can describe it without importing
-#: numba.
-_NUMBA_DESCRIPTION = (
-    "njit-compiled struct-of-arrays kernels ([fast] extra); falls "
-    "back to 'pure' when numba is missing"
-)
-_NUMBA: Optional[Backend] = None
-_WARNED_FALLBACK = False
+#: Sentinel: :func:`platform_kernels` has not probed numba yet.
+_UNRESOLVED = object()
+_kernels = _UNRESOLVED
 
 
-def _jit_backend() -> Backend:
-    """Build (once) the numba backend with jitted kernels."""
-    global _NUMBA
-    if _NUMBA is None:
-        from numba import njit  # noqa: deferred heavy import
+def platform_kernels() -> Optional[Kernels]:
+    """The ``njit``-compiled kernel pair, or ``None`` without numba.
 
-        _NUMBA = Backend(
-            name="numba", use_kernels=True, compiled=True,
-            act_burst=njit(cache=True)(_act_burst),
-            serve_closed=njit(cache=True)(_serve_closed),
-            description=_NUMBA_DESCRIPTION,
-        )
-    return _NUMBA
-
-
-def backend_descriptions() -> "dict":
-    """Name -> {description, use_kernels, compiled} for listings.
-
-    The ``numba`` entry is described from its registration metadata
-    without importing numba (the jitted Backend object is only built
-    on first resolve).
+    Resolved once, on first use; simulators read it at construction.
     """
-    return {
-        "pure": {
-            "description": _PURE.description,
-            "use_kernels": _PURE.use_kernels,
-            "compiled": _PURE.compiled,
-        },
-        "kernel": {
-            "description": _KERNEL.description,
-            "use_kernels": _KERNEL.use_kernels,
-            "compiled": _KERNEL.compiled,
-        },
-        "numba": {
-            "description": _NUMBA_DESCRIPTION,
-            "use_kernels": True,
-            "compiled": True,
-        },
-    }
-
-
-def resolve_backend(name: Optional[str] = None) -> Backend:
-    """Resolve a backend by precedence: config field, env, ``pure``.
-
-    ``numba`` degrades gracefully to ``pure`` (with one warning per
-    process) when numba is not importable, so configs and scripts can
-    name it unconditionally.
-    """
-    global _WARNED_FALLBACK
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or "pure"
-    if name == "pure":
-        return _PURE
-    if name == "kernel":
-        return _KERNEL
-    if name == "numba":
-        if numba_available():
-            return _jit_backend()
-        if not _WARNED_FALLBACK:
-            _WARNED_FALLBACK = True
-            print(
-                "repro: backend 'numba' requested but numba is not "
-                "installed; falling back to 'pure' (install the "
-                "[fast] extra to enable it)",
-                file=sys.stderr,
+    global _kernels
+    if _kernels is _UNRESOLVED:
+        try:
+            from numba import njit  # noqa: deferred heavy import
+        except ImportError:
+            _kernels = None
+        else:
+            _kernels = Kernels(
+                "numba",
+                njit(cache=True)(_act_burst),
+                njit(cache=True)(_serve_closed),
             )
-        return _PURE
-    raise ValueError(
-        f"unknown backend {name!r}; known: {', '.join(BACKEND_NAMES)}"
-    )
+    return _kernels

@@ -47,7 +47,7 @@ from repro.sim.backend import (
     I_ALERT,
     I_FILL,
     I_NEXT,
-    resolve_backend,
+    platform_kernels,
 )
 
 #: Signature of mitigation listeners: (bank_index, row, reactive, time).
@@ -93,13 +93,6 @@ class SimConfig:
     #: counter semantics are identical either way. Incompatible with
     #: ``initial_counter``.
     dense_counters: bool = False
-    #: Kernel backend for the batched hot loops: ``"pure"``,
-    #: ``"kernel"``, or ``"numba"`` (see :mod:`repro.sim.backend`).
-    #: ``None`` defers to the ``REPRO_BACKEND`` environment variable,
-    #: then ``"pure"``. Backends are equivalence-gated: every choice
-    #: is bit-identical, so this knob is hashed out of sweep-point
-    #: identities.
-    backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -137,12 +130,14 @@ class SubchannelSim:
         self.config = config
         timing = config.timing
         self.timing = timing
-        self._backend = resolve_backend(config.backend)
+        #: The platform's compiled kernel pair (``None`` without numba),
+        #: shared with the memory controller driving this sub-channel.
+        self._kernels = platform_kernels()
         if config.dense_counters:
             # One contiguous int64 block holds every bank's PRAC
             # counters (struct-of-arrays across banks): each bank
             # indexes its own memoryview slice exactly like a private
-            # array, while kernel backends address the whole
+            # array, while the kernels address the whole
             # sub-channel as one 2-D view.
             rows = config.rows_per_bank
             self._counter_block = array(
@@ -195,13 +190,13 @@ class SubchannelSim:
         ]
         self._t_rc = timing.t_rc
         self._t_issue_gap = config.t_issue_gap
-        # Kernel backend wiring. The compiled/interpeted kernels cover
-        # the narrow hot case (dense counters, MOAT or the unprotected
-        # baseline); every other policy keeps the pure batched loop,
-        # bank by bank. ``_kernel_levels[bank]`` is the MOAT tracker
-        # size (0 = null policy, -1 = unsupported -> pure loop).
+        # Kernel wiring. The kernels cover the narrow hot case (dense
+        # counters, MOAT or the unprotected baseline); every other
+        # policy keeps the pure batched loop, bank by bank.
+        # ``_kernel_levels[bank]`` is the MOAT tracker size (0 = null
+        # policy, -1 = unsupported -> pure loop).
         self._use_kernels = (
-            self._backend.use_kernels
+            self._kernels is not None
             and config.dense_counters
             and not config.track_danger
         )
@@ -349,12 +344,7 @@ class SubchannelSim:
             bank_free = self._bank_free[bank]
             next_ref = self._next_ref
             next_external = self._next_external
-            episode = self._episode
-            window_end = (
-                episode.window_end
-                if episode is not None and not episode.processed
-                else float("inf")
-            )
+            window_end = self._alert_window_end()
             acts = 0
             alerting = False
             while i < n:
@@ -413,7 +403,7 @@ class SubchannelSim:
         Same outer structure as the pure batched loop — snapshot event
         state, burst until the next scheduled event, flush statistics,
         handle ALERT requests — with the inner burst executed by the
-        backend's ACT kernel over zero-copy views of the bank's dense
+        ACT kernel over zero-copy views of the bank's dense
         counter slice, the SAFE-reset shadow registers, and the MOAT
         tracker register file. Bit-identical by construction: the
         kernel replays the exact per-ACT recurrences of the pure loop.
@@ -422,7 +412,7 @@ class SubchannelSim:
 
         rows_arr = np.asarray(rows, dtype=np.int64)
         n = rows_arr.shape[0]
-        kernel = self._backend.act_burst
+        kernel = self._kernels.act_burst
         prac_row = self._prac_views[bank]
         refresh = self.refresh[bank]
         bank_obj = self.banks[bank]
@@ -448,12 +438,7 @@ class SubchannelSim:
                 last_start = self.activate(int(rows_arr[i]), bank, not_before).time
                 i += 1
                 continue
-            episode = self._episode
-            window_end = (
-                episode.window_end
-                if episode is not None and not episode.processed
-                else float("inf")
-            )
+            window_end = self._alert_window_end()
             shadow = refresh.shadow
             n_sh = 0
             for s_row, s_count in shadow.items():
@@ -562,6 +547,13 @@ class SubchannelSim:
         if duration < 0:
             raise ValueError("duration must be non-negative")
         self.advance_to(self.now + duration)
+
+    def _alert_window_end(self) -> float:
+        """End of the open ALERT window; ``inf`` when none is open."""
+        episode = self._episode
+        if episode is not None and not episode.processed:
+            return episode.window_end
+        return float("inf")
 
     def advance_to(self, time: float) -> None:
         """Advance the clock to ``time``, retiring scheduled events."""

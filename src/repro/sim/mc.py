@@ -79,11 +79,6 @@ class McRunConfig:
     n_trefi: int = 1024
     seed: int = 0
     timing: DramTiming = field(default_factory=lambda: DDR5_PRAC_TIMING)
-    #: Kernel backend for the serving hot loops (``"pure"``,
-    #: ``"kernel"``, ``"numba"``; ``None`` defers to ``REPRO_BACKEND``
-    #: then ``"pure"``). Equivalence-gated — results are bit-identical
-    #: across backends, so this is hashed out of sweep identities.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Fail fast at configuration time (not inside a sweep worker):
@@ -236,7 +231,6 @@ def build_mc_channel(
         abo_level=config.abo_level,
         track_danger=False,
         dense_counters=True,
-        backend=config.backend,
     )
     run_params = RunParams(
         ath=config.ath,

@@ -1,5 +1,5 @@
 """Fixture tests for the ``numba-subset`` lint rule, plus the pin
-that the real backend kernels are in scope and clean."""
+that the real hot-loop kernels are in scope and clean."""
 
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ CLEAN_KERNEL = """
                 total += arr[i]
         return total
 
-    REGISTRY = Backend(name="kernel", use_kernels=True, compiled=False,
-                       act_burst=_burst)
+    FAST = njit(cache=True)(_burst)
 """
 
 
@@ -30,8 +29,8 @@ def test_clean_kernel_passes(lint_rule):
 
 
 def test_unregistered_function_not_checked(lint_rule):
-    # Same forbidden constructs, but the function is never registered
-    # as a kernel slot -> out of scope.
+    # Same forbidden constructs, but the function is never passed
+    # through njit -> out of scope.
     findings = lint_rule(check, """
         def helper(n):
             return {i: i for i in range(n)}
@@ -45,8 +44,7 @@ def test_dict_in_kernel_flagged(lint_rule):
             cache = {}
             return cache
 
-        B = Backend(name="kernel", use_kernels=True, compiled=False,
-                    act_burst=_burst)
+        fast = njit(_burst)
     """, rel_path="sim/backend.py")
     assert len(findings) == 1
     assert "dict literal" in findings[0].message
@@ -69,8 +67,7 @@ def test_signature_and_call_violations_flagged(lint_rule):
             value = getattr(arr, "sum")
             return value
 
-        B = Backend(name="kernel", use_kernels=True, compiled=False,
-                    act_burst=_burst)
+        fast = njit(_burst)
     """, rel_path="sim/backend.py")
     messages = " | ".join(f.message for f in findings)
     assert "**kwargs" in messages
@@ -87,8 +84,7 @@ def test_closure_and_try_flagged(lint_rule):
             except IndexError:
                 return 0
 
-        B = Backend(name="k", use_kernels=True, compiled=False,
-                    act_burst=_burst)
+        fast = njit(_burst)
     """, rel_path="sim/backend.py")
     messages = " | ".join(f.message for f in findings)
     assert "closure" in messages

@@ -118,12 +118,11 @@ def test_live_state_shape():
     state = collect_state(REPO_ROOT)
     registries = state["registries"]
     assert set(registries) == {
-        "mitigation", "attack", "sched", "backend", "model",
+        "mitigation", "attack", "sched", "model",
     }
     assert len(registries["mitigation"]["kinds"]) >= 7
     assert len(registries["attack"]["kinds"]) >= 8
     assert len(registries["sched"]["kinds"]) >= 4
-    assert len(registries["backend"]["kinds"]) == 3
     assert set(state["families"]) == {
         "sweep", "attack", "model", "mc", "system",
     }
@@ -133,12 +132,3 @@ def test_live_state_shape():
 
 def test_live_repo_judges_clean():
     assert check(REPO_ROOT) == []
-
-
-def test_deleting_backend_description_would_fail():
-    """Removing the description satellite fix must re-open a finding."""
-    state = collect_state(REPO_ROOT)
-    state["registries"]["backend"]["kinds"]["kernel"] = ""
-    findings = list(coverage_findings(state, REPO_ROOT))
-    assert any("backend kind 'kernel' has no description" in f.message
-               for f in findings)

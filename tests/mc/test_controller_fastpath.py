@@ -2,11 +2,13 @@
 
 :meth:`MemoryController.serve_streams` dispatches eligible runs (one
 client, closed page, bounded queues, one sub-channel, pristine
-channel) to a struct-of-arrays fast path, optionally kernel-backed;
+channel) to a struct-of-arrays fast path, kernel-backed where the
+platform compiles the kernels;
 everything else stays on :meth:`run_streams_reference`, the pinned
 scalar loop. These tests pin the two halves of that design:
 
-* **Equivalence** — the fast path (under every backend) produces
+* **Equivalence** — the fast path (on the pure loops, the interpreted
+  kernels, and the platform's kernels) produces
   completions, policy state, and engine state bit-identical to the
   reference, across policies, schedulers, queue depths, and
   hypothesis-random request streams.
@@ -27,7 +29,8 @@ from repro.mitigations.registry import policy_kinds, PolicySpec
 from repro.sim.mc import McRunConfig, build_mc_channel
 from repro.workloads.requests import McWorkload, generate_requests
 
-BACKENDS = ("pure", "kernel", "numba")
+#: Kernel modes (see the ``kernels`` fixture in ``tests/conftest.py``).
+KERNELS = ("pure", "kernel", "numba")
 
 #: A mix hot enough to drive MOAT past ATH=16 within a short window.
 HOT_WORKLOAD = McWorkload(
@@ -35,10 +38,8 @@ HOT_WORKLOAD = McWorkload(
 )
 
 
-def make_config(backend=None, **overrides) -> McRunConfig:
-    params = dict(
-        ath=16, workload=HOT_WORKLOAD, banks=2, n_trefi=48, backend=backend
-    )
+def make_config(**overrides) -> McRunConfig:
+    params = dict(ath=16, workload=HOT_WORKLOAD, banks=2, n_trefi=48)
     params.update(overrides)
     return McRunConfig(**params)
 
@@ -92,59 +93,47 @@ def run_fast(config, requests):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
     @pytest.mark.parametrize("kind", sorted(policy_kinds()))
-    def test_every_policy_kind(self, kind, backend):
+    def test_every_policy_kind(self, kind, kernels):
         config = make_config(policy=PolicySpec(kind))
         requests = make_requests(config)
-        reference = run_reference(config, requests)
-        fast = run_fast(make_config(backend=backend,
-                                    policy=PolicySpec(kind)), requests)
-        assert fast == reference
+        assert run_fast(config, requests) == run_reference(config, requests)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
     @pytest.mark.parametrize("scheduler", ["fcfs", "frfcfs"])
     @pytest.mark.parametrize("depth", [4, 32])
-    def test_schedulers_and_depths(self, scheduler, depth, backend):
+    def test_schedulers_and_depths(self, scheduler, depth, kernels):
         config = make_config(scheduler=scheduler, queue_depth=depth)
         requests = make_requests(config)
-        reference = run_reference(config, requests)
-        fast = run_fast(
-            make_config(backend=backend, scheduler=scheduler,
-                        queue_depth=depth),
-            requests,
-        )
-        assert fast == reference
+        assert run_fast(config, requests) == run_reference(config, requests)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_abo_level_4(self, backend):
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
+    def test_abo_level_4(self, kernels):
         config = make_config(abo_level=4)
         requests = make_requests(config)
-        assert run_fast(
-            make_config(backend=backend, abo_level=4), requests
-        ) == run_reference(config, requests)
+        assert run_fast(config, requests) == run_reference(config, requests)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_writes_in_the_mix(self, backend):
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
+    def test_writes_in_the_mix(self, kernels):
         workload = McWorkload(
             reads_per_trefi_per_bank=30.0, hot_fraction=0.5, hot_rows=4,
             write_fraction=0.3,
         )
         config = make_config(workload=workload)
         requests = make_requests(config)
-        assert run_fast(
-            make_config(backend=backend, workload=workload), requests
-        ) == run_reference(config, requests)
+        assert run_fast(config, requests) == run_reference(config, requests)
 
-    def test_batch_summaries_match_completions(self):
+    def test_batch_summaries_match_completions(self, use_kernels):
         """The ServedBatch summary helpers (used by ``_summarize``)
         must replicate the reference's float-summation order exactly,
-        on both the fast and the fallback path."""
+        on the pure and the kernel-backed fast path."""
         config = make_config()
         requests = make_requests(config)
-        for cfg in (config, make_config(backend="kernel")):
-            _, controller = build(cfg)
-            batch = controller.serve(list(requests))
+        for mode in ("pure", "kernel"):
+            with use_kernels(mode):
+                _, controller = build(config)
+                batch = controller.serve(list(requests))
             completed = batch.completions()
             reads = [c for c in completed if not c.request.is_write]
             assert batch.read_latencies_sorted() == sorted(
@@ -177,21 +166,19 @@ class TestRandomStreams:
     @given(
         reqs=random_requests,
         scheduler=st.sampled_from(["fcfs", "frfcfs"]),
-        backend=st.sampled_from(BACKENDS),
+        mode=st.sampled_from(KERNELS),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_streams_bit_identical(self, reqs, scheduler, backend):
+    def test_random_streams_bit_identical(self, use_kernels, reqs,
+                                          scheduler, mode):
         requests = [
             Request(issue_ns=t, bank=bank, row=row, is_write=write)
             for t, bank, row, write in reqs
         ]
         config = make_config(scheduler=scheduler, queue_depth=4, ath=8)
         reference = run_reference(config, requests)
-        fast = run_fast(
-            make_config(backend=backend, scheduler=scheduler,
-                        queue_depth=4, ath=8),
-            requests,
-        )
+        with use_kernels(mode):
+            fast = run_fast(config, requests)
         assert fast == reference
 
 
@@ -291,11 +278,11 @@ class TestDispatch:
 
 
 class TestResultPurity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_fields_are_plain_python(self, backend):
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
+    def test_batch_fields_are_plain_python(self, kernels):
         """Kernel-mode numpy scalars must not leak into results (they
         would break JSON artifact serialization downstream)."""
-        config = make_config(backend=backend)
+        config = make_config()
         _, controller = build(config)
         batch = controller.serve(make_requests(config))
         for values in (batch.enqueue_ns, batch.start_ns, batch.complete_ns):
@@ -307,13 +294,17 @@ class TestResultPurity:
             for c in completed
         )
 
-    def test_config_hash_ignores_backend(self):
-        """Backends are equivalence-gated, so they can never split a
-        sweep cache or baseline identity."""
+    def test_config_hash_ignores_backend(self, use_kernels):
+        """The kernels are equivalence-gated, so which pair runs can
+        never split a sweep cache or baseline identity."""
         from repro.sweep.mc_spec import McSweepPoint
 
+        assert "backend" not in {
+            f.name for f in dataclasses.fields(McRunConfig)
+        }
         base = McSweepPoint(config=make_config())
-        for backend in BACKENDS:
-            point = McSweepPoint(config=make_config(backend=backend))
-            assert point.config_hash() == base.config_hash()
-            assert point.key == base.key
+        for mode in KERNELS:
+            with use_kernels(mode):
+                point = McSweepPoint(config=make_config())
+                assert point.config_hash() == base.config_hash()
+                assert point.key == base.key

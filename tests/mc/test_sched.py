@@ -13,6 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import _parse_sched
 from repro.mc import McConfig, MemoryController, Request
 from repro.mc.sched import (
     SCHEDULERS,
@@ -131,6 +132,31 @@ class TestValidation:
             validate_sched("slo", (("window", True),))
         with pytest.raises(ValueError, match="must be positive"):
             validate_sched("slo", (("window", 0),))
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("share", float("nan"), "'share' must be a finite number"),
+        ("window", float("inf"), "'window' must be a finite number"),
+        ("window", 10 ** 400, "'window' must be a finite number"),
+        ("window", 2.5, "'window' must be a whole number"),
+        ("burst", 0.5, "'burst' must be at least 1"),
+        ("gbps", 1e-4, "'gbps' must be at least 0.001"),
+        ("gbps3", 1e-4, "'gbps3' must be at least 0.001"),
+    ])
+    def test_unusable_values_rejected_at_construction(self, name, value,
+                                                      message):
+        kind = {"share": "priority", "window": "slo"}.get(name, "bw-cap")
+        with pytest.raises(ValueError, match=f"sched param {message}$"):
+            McConfig(scheduler=kind, sched_params=((name, value),))
+
+    def test_boundary_values_accepted(self):
+        validate_sched("bw-cap", (("burst", 1), ("gbps", 1e-3)))
+        validate_sched("slo", (("window", 64.0),))
+        validate_sched("priority", (("share", 1e308),))
+
+    def test_huge_share_caps_nothing(self):
+        sched = make_sched("priority", (("share", 1e308),), [0], T_COL,
+                           depth=8)
+        assert sched._limit == 8
 
     def test_indexed_param_beyond_client_count_fails_at_build(self):
         with pytest.raises(ValueError, match="targets client 5"):
@@ -427,3 +453,51 @@ class TestPriorityProperties:
                 continue
             queue_wait = completion.start_ns - completion.enqueue_ns
             assert queue_wait <= age_bound + drain + slack, queue_wait
+
+
+#: ``--sched`` spellings: registered kinds and names mixed with free
+#: text, and values spelling every number the parser accepts (specials,
+#: huge and fractional ones) plus junk. Positive rates stay at or above
+#: the bw-cap floor's order of magnitude so the tiny run stays tiny.
+_SCHED_TEXT = st.builds(
+    lambda kind, items: kind + (":" + ",".join(
+        f"{name}={value}" for name, value in items) if items else ""),
+    st.one_of(st.sampled_from(SCHEDULERS), st.text(max_size=6)),
+    st.lists(st.tuples(
+        st.one_of(
+            st.sampled_from(["share", "age_bound_ns", "gbps", "gbps1",
+                             "gbps9", "burst", "budget_ns", "window"]),
+            st.text(max_size=6),
+        ),
+        st.one_of(
+            st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "0",
+                             "0.5", "2.5", "1e308", "1e-300", "9" * 400,
+                             "big", ""]),
+            st.integers(min_value=-10, max_value=10 ** 6).map(str),
+            st.floats(min_value=1e-3, max_value=1e12).map(repr),
+            st.text(max_size=6),
+        ),
+    ), max_size=3),
+)
+
+
+class TestSchedTextProperty:
+    @given(text=_SCHED_TEXT)
+    @settings(max_examples=150, deadline=None)
+    def test_any_sched_text_runs_or_raises_value_error(self, text):
+        """Any ``--sched`` text either builds an :class:`McConfig` that
+        serves a tiny two-client run, or raises :class:`ValueError` —
+        never another exception, never a hang."""
+        try:
+            scheduler, params = _parse_sched(text)
+            config = McConfig(scheduler=scheduler, sched_params=params)
+            controller = MemoryController(make_channel(), config)
+            streams = [
+                [Request(issue_ns=float(50 * i), bank=i % 2, row=i,
+                         client=client) for i in range(4)]
+                for client in range(2)
+            ]
+            served = controller.run_streams(streams)
+        except ValueError:
+            return
+        assert len(served) == 8

@@ -5,7 +5,7 @@ The null-object contract: every component defaults to
 paths only, and ``serve_streams`` dispatch is recorder-blind. So a run
 with a live :class:`~repro.obs.TraceRecorder` must be bit-identical to
 the same run without one — across every mitigation policy, kernel
-backend, and scheduling policy — and the ALERT events must reconcile
+mode, and scheduling policy — and the ALERT events must reconcile
 exactly with the run's ``alerts`` counter (every execution path
 funnels ALERT assertion through ``_maybe_assert_alert``, the single
 emission site). The attached recorder is the columnar one, and the
@@ -28,7 +28,6 @@ from repro.obs import (
     make_obs_artifact,
     to_perfetto,
 )
-from repro.sim.backend import BACKEND_NAMES
 from repro.sim.mc import McRunConfig, run_mc
 from repro.sweep.artifacts import write_artifact
 from repro.sweep.mc_spec import HAMMER_WORKLOAD
@@ -38,8 +37,11 @@ from repro.system import ClientSpec, SystemRunConfig, run_system
 #: mix asserts ALERTs within a few dozen tREFI).
 _N_TREFI = 48
 
+#: Kernel modes (see the ``kernels`` fixture in ``tests/conftest.py``).
+_KERNELS = ("pure", "kernel", "numba")
 
-def _config(policy: str, backend: str, scheduler: str) -> McRunConfig:
+
+def _config(policy: str, scheduler: str) -> McRunConfig:
     return McRunConfig(
         ath=16,
         policy=PolicySpec(policy),
@@ -47,22 +49,22 @@ def _config(policy: str, backend: str, scheduler: str) -> McRunConfig:
         scheduler=scheduler,
         banks=2,
         n_trefi=_N_TREFI,
-        backend=backend,
     )
 
 
 @given(
     policy=st.sampled_from(sorted(policy_kinds())),
-    backend=st.sampled_from(BACKEND_NAMES),
+    mode=st.sampled_from(_KERNELS),
     scheduler=st.sampled_from(sorted(sched_kinds())),
 )
 @settings(max_examples=20, deadline=None)
-def test_recorder_never_changes_mc_results(tmp_path_factory, policy,
-                                           backend, scheduler):
-    config = _config(policy, backend, scheduler)
-    plain = run_mc(config)
+def test_recorder_never_changes_mc_results(tmp_path_factory, use_kernels,
+                                           policy, mode, scheduler):
+    config = _config(policy, scheduler)
     recorder = TraceRecorder()
-    traced = run_mc(config, recorder=recorder)
+    with use_kernels(mode):
+        plain = run_mc(config)
+        traced = run_mc(config, recorder=recorder)
 
     assert dataclasses.asdict(traced) == dataclasses.asdict(plain)
     assert recorder.count("alert") == traced.alerts
@@ -73,7 +75,7 @@ def test_recorder_never_changes_mc_results(tmp_path_factory, policy,
     assert {len(column) for column in recorder.columns()} == {len(recorder)}
     artifact = make_obs_artifact(recorder, n_trefi=config.n_trefi,
                                  t_refi_ns=config.timing.t_refi,
-                                 provenance={"backend": backend})
+                                 provenance={"backend": mode})
     events = list(recorder.events)
     reference = dict(artifact, events=[event.to_row() for event in events],
                      traceEvents=to_perfetto(events)["traceEvents"])
@@ -85,7 +87,7 @@ def test_recorder_never_changes_mc_results(tmp_path_factory, policy,
 
 def test_alert_events_reconcile_under_pressure():
     """A run with many ALERTs: one event per counter increment."""
-    config = _config("moat", "pure", "frfcfs")
+    config = _config("moat", "frfcfs")
     recorder = TraceRecorder()
     result = run_mc(config, recorder=recorder)
     assert result.alerts > 0
@@ -98,7 +100,7 @@ def test_alert_events_reconcile_under_pressure():
 
 def test_ref_events_follow_the_refresh_schedule():
     recorder = TraceRecorder()
-    result = run_mc(_config("moat", "pure", "frfcfs"), recorder=recorder)
+    result = run_mc(_config("moat", "frfcfs"), recorder=recorder)
     refs = recorder.of_kind("ref")
     # One REF per elapsed tREFI per sub-channel (minus edge windows).
     assert result.requests > 0

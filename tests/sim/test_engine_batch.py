@@ -18,11 +18,10 @@ from repro.workloads.profiles import profile_by_name
 
 TREFI = 3900.0
 
-#: All registered kernel backends. ``numba`` silently degrades to
-#: ``pure`` where numba is not installed, so parametrizing over it is
-#: always safe — it tests the compiled kernels exactly where they can
-#: compile and the fallback contract everywhere else.
-BACKENDS = ("pure", "kernel", "numba")
+#: Kernel modes (see the ``kernels`` fixture in ``tests/conftest.py``):
+#: the pure loops, the interpreted kernels, and the platform's pair —
+#: compiled where numba imports, the pure loops everywhere else.
+KERNELS = ("pure", "kernel", "numba")
 
 
 def drive(sim, schedule, batched: bool) -> dict:
@@ -122,39 +121,29 @@ class TestBatchedEquivalence:
 
 
 class TestBackendEquivalence:
-    """Every backend's batch path must match the scalar per-ACT
-    reference bit for bit — the contract that lets sweep identities
-    hash the backend out entirely (one cache entry, one baseline)."""
+    """Every kernel mode's batch path must match the scalar per-ACT
+    reference bit for bit — the contract that keeps the kernels out of
+    sweep identities (one cache entry, one baseline)."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
     @pytest.mark.parametrize("kind", sorted(policy_kinds()))
-    def test_every_policy_kind(self, kind, backend):
+    def test_every_policy_kind(self, kind, kernels):
         schedule = workload_schedule(n_trefi=128)
         factory = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
         config = SimConfig(track_danger=False, dense_counters=True)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
-        kernel_config = SimConfig(
-            track_danger=False, dense_counters=True, backend=backend
-        )
-        batched = drive(
-            SubchannelSim(kernel_config, factory2), schedule, batched=True
-        )
+        batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
         assert serial == batched
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_alert_heavy_run(self, backend):
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
+    def test_alert_heavy_run(self, kernels):
         schedule = [[7, 7, 7, 9, 7] for _ in range(300)]
         factory = PolicySpec("moat").make_factory(RunParams(ath=32, eth=16))
         config = SimConfig(track_danger=False, dense_counters=True)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec("moat").make_factory(RunParams(ath=32, eth=16))
-        kernel_config = SimConfig(
-            track_danger=False, dense_counters=True, backend=backend
-        )
-        batched = drive(
-            SubchannelSim(kernel_config, factory2), schedule, batched=True
-        )
+        batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
         assert serial == batched
         assert serial["alerts"] > 0
 
@@ -171,11 +160,12 @@ class TestBackendProperties:
     @given(
         schedule=random_schedules,
         kind=st.sampled_from(sorted(policy_kinds())),
-        backend=st.sampled_from(BACKENDS),
+        mode=st.sampled_from(KERNELS),
     )
     @settings(max_examples=50, deadline=None)
-    def test_random_schedules_bit_identical(self, schedule, kind, backend):
-        """Arbitrary schedules, every policy, every backend: the batch
+    def test_random_schedules_bit_identical(self, use_kernels, schedule,
+                                            kind, mode):
+        """Arbitrary schedules, every policy, every kernel mode: the batch
         path equals the scalar reference. A low ATH makes even short
         random streams cross the ALERT machinery."""
         params = RunParams(ath=12, eth=6)
@@ -183,12 +173,10 @@ class TestBackendProperties:
         config = SimConfig(track_danger=False, dense_counters=True)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec(kind).make_factory(params)
-        kernel_config = SimConfig(
-            track_danger=False, dense_counters=True, backend=backend
-        )
-        batched = drive(
-            SubchannelSim(kernel_config, factory2), schedule, batched=True
-        )
+        with use_kernels(mode):
+            batched = drive(
+                SubchannelSim(config, factory2), schedule, batched=True
+            )
         assert serial == batched
 
 

@@ -216,3 +216,14 @@ class TestScheds:
     def test_malformed_sched_param_is_a_usage_error(self, capsys):
         assert main(["mc", "run", "--sched", "slo:budget_ns"]) == 2
         assert "expected k=v" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sched,message", [
+        ("priority:share=nan", "sched param 'share' must be a finite number"),
+        ("slo:window=1e400", "sched param 'window' must be a finite number"),
+        ("slo:window=2.5", "sched param 'window' must be a whole number"),
+        ("bw-cap:burst=0.5", "sched param 'burst' must be at least 1"),
+    ])
+    def test_unusable_sched_value_is_a_usage_error(self, capsys, sched,
+                                                   message):
+        assert main(["mc", "run", "--sched", sched, "--trefi", "8"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -223,3 +223,15 @@ class TestScheds:
                      "--trefi", "64", "--banks", "2", "--jobs", "1",
                      "--quiet"]) == 2
         assert "targets client 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sched,message", [
+        ("priority:share=nan", "sched param 'share' must be a finite number"),
+        ("slo:window=1e400", "sched param 'window' must be a finite number"),
+        ("slo:window=2.5", "sched param 'window' must be a whole number"),
+        ("bw-cap:burst=0.5", "sched param 'burst' must be at least 1"),
+    ])
+    def test_unusable_sched_value_is_a_usage_error(self, capsys, sched,
+                                                   message):
+        assert main(["system", "run", "--clients", "2", "--sched", sched,
+                     "--trefi", "8", "--jobs", "1", "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
