@@ -15,6 +15,7 @@ victim exposure) passes them only at the very end of the window.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 from repro.attacks.base import (
@@ -66,7 +67,7 @@ def run_feinting(
 
     sim = build_channel(
         run,
-        IdealPerRowPolicy,
+        functools.partial(IdealPerRowPolicy, num_rows=run.rows_per_bank),
         reset_policy=CounterResetPolicy.FREE_RUNNING,
         trefi_per_mitigation=trefi_per_mitigation,
         reset_counter_on_mitigation=True,

@@ -12,128 +12,98 @@ from __future__ import annotations
 
 import abc
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.mitigations.ordered_max import OrderedMax
 
 
-class CounterTable:
-    """Preallocated flat per-row counter table with dict-like order.
+class CounterTable(OrderedMax):
+    """Per-row counters with the observable semantics of an
+    insertion-ordered dict and an O(log n) first-max.
 
     Policies that keep one counter per row (victim counting, per-row
-    shadow state) used to store them in a dict keyed by row; at
-    workload scale the per-activation hash churn dominates the hot
-    path. This table preallocates one array slot per row for O(1)
-    unhashed increments while preserving the *observable semantics* of
-    an insertion-ordered dict — first-touch iteration order, first-max
-    ``argmax`` tie-breaking, re-insertion after removal moving a row to
-    the back — so a policy switched onto it produces bit-identical
-    simulation results.
+    count mirrors) used to store them in a dict keyed by row; at
+    workload scale the per-activation hash churn dominated the hot path
+    and ``max`` over the dict dominated every selection. This table
+    indexes rows through a flat row -> slot array (no hashing) and keeps
+    the counters in :class:`~repro.mitigations.ordered_max.OrderedMax`
+    slots while preserving the dict's semantics — first-touch iteration
+    order, first-max :meth:`argmax` tie-breaking, re-insertion after
+    removal moving a row to the back — so a policy switched onto it
+    produces bit-identical simulation results.
 
-    Removal is lazy: a removed row's slot is zeroed and its order entry
-    goes stale; the order list is compacted once stale entries dominate,
-    bounding iteration cost at twice the live-row count.
+    A removed row's slot is marked dead in place; slots are compacted
+    stably when an insertion finds none free, and the slot capacity
+    doubles (up to ``num_rows``) only when more than half of it is
+    live. Iteration visits every slot handed out since the last
+    compaction: at most the capacity, which stays below four times the
+    peak live-row count (or the initial 64 slots). Counts must be
+    non-negative.
     """
 
-    __slots__ = ("counts", "_order", "_pos", "_live", "_stale")
+    __slots__ = ()
 
     def __init__(self, num_rows: int) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
-        #: Flat counter per row; index directly for hot-path reads.
-        self.counts = array("q", bytes(8 * num_rows))
-        #: Rows in first-touch order; may contain stale entries.
-        self._order: List[int] = []
-        #: A row's live position in ``_order`` (-1 = not present).
-        self._pos = array("q", [-1]) * num_rows
-        self._live = 0
-        self._stale = 0
-
-    def __len__(self) -> int:
-        return self._live
+        #: A row's slot position (-1 = not tracked).
+        super().__init__(num_rows, array("q", [-1]) * num_rows)
 
     def __contains__(self, row: int) -> bool:
-        return self._pos[row] >= 0
+        return self.index[row] >= 0
 
     def get(self, row: int) -> int:
         """Count for ``row`` (0 when untracked)."""
-        return self.counts[row]
+        pos = self.index[row]
+        return self.counts[pos] if pos >= 0 else 0
 
     def increment(self, row: int, delta: int = 1) -> int:
-        """Add ``delta`` to ``row``'s counter, tracking it if new."""
-        if self._pos[row] < 0:
-            self._pos[row] = len(self._order)
-            self._order.append(row)
-            self._live += 1
-        count = self.counts[row] + delta
-        self.counts[row] = count
-        return count
+        """Add ``delta`` (>= 0) to ``row``'s counter, tracking it if new."""
+        pos = self.index[row]
+        if pos < 0:
+            self.insert(row, delta)
+            return delta
+        return self.add(pos, delta)
+
+    def set(self, row: int, count: int) -> None:
+        """Set ``row``'s counter; a tracked row keeps its position."""
+        pos = self.index[row]
+        if pos < 0:
+            self.insert(row, count)
+            return
+        old = self.counts[pos]
+        if count >= old:
+            self.add(pos, count - old)
+        else:
+            self.counts[pos] = count
+            self.lowered(pos)
 
     def remove(self, row: int) -> bool:
         """Drop ``row``'s counter; returns whether it was tracked."""
-        if self._pos[row] < 0:
+        pos = self.index[row]
+        if pos < 0:
             return False
-        self._pos[row] = -1
-        self.counts[row] = 0
-        self._live -= 1
-        self._stale += 1
-        if self._stale > self._live and self._stale > 64:
-            self._compact()
+        self.kill(pos)
+        self.index[row] = -1
         return True
-
-    def _compact(self) -> None:
-        pos = self._pos
-        order = [row for i, row in enumerate(self._order) if pos[row] == i]
-        self._order = order
-        for i, row in enumerate(order):
-            pos[row] = i
-        self._stale = 0
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """Live ``(row, count)`` pairs in first-touch order."""
-        pos = self._pos
-        counts = self.counts
-        for i, row in enumerate(self._order):
-            if pos[row] == i:
-                yield row, counts[row]
 
     def argmax(self) -> Optional[Tuple[int, int]]:
         """The first-touched row holding the maximal count, or ``None``
         when the table is empty (ties resolve to the earliest touch,
         like ``max`` over an insertion-ordered dict)."""
-        best_row = -1
-        best_count = 0
-        pos = self._pos
-        counts = self.counts
-        for i, row in enumerate(self._order):
-            if pos[row] == i:
-                count = counts[row]
-                if best_row < 0 or count > best_count:
-                    best_row = row
-                    best_count = count
-        if best_row < 0:
+        pos = self.best()
+        if pos < 0:
             return None
-        return best_row, best_count
+        return self.rows[pos], self.counts[pos]
 
     def max_count(self) -> int:
         """Largest live count (0 when empty)."""
-        found = self.argmax()
-        return found[1] if found else 0
+        pos = self.best()
+        return self.counts[pos] if pos >= 0 else 0
 
     def as_dict(self) -> Dict[int, int]:
         """Dict snapshot in first-touch order (tests, reporting)."""
         return dict(self.items())
-
-    def counts_view(self):
-        """Zero-copy int64 numpy view of the flat counter table.
-
-        The view aliases :attr:`counts`, so scatter/gather updates
-        through it are visible to the table (and vice versa); the
-        order bookkeeping is untouched, so kernels must only update
-        rows that are already tracked. Requires numpy (kernel
-        paths only — the pure path never calls this).
-        """
-        import numpy as np
-
-        return np.frombuffer(self.counts, dtype=np.int64)
 
 
 class MitigationPolicy(abc.ABC):

@@ -11,12 +11,15 @@ corner of the paper's Figure 1(a) that motivates in-DRAM per-row
 counters.
 
 The policy itself reuses the Misra-Gries machinery of
-:class:`repro.mitigations.trr.TrrTracker` — preallocated parallel
-(row, count) arrays sized at construction, which matters here because
-secure sizing yields thousands of entries per bank and the
-decrement-all sweep runs over the flat arrays instead of churning a
-dict. This module adds the security-driven sizing rule and the SRAM
-cost it implies.
+:class:`repro.mitigations.trr.TrrTracker`, whose host structure
+(:class:`repro.mitigations.ordered_max.OrderedMax`) matters here
+because secure sizing yields thousands of entries per bank: the
+maximal entry is found through a tournament tree in O(log n) rather
+than a scan, mitigated entries are marked dead in place, and slot
+storage grows with the tracked rows rather than the table size. The
+hardware cost is unchanged: :func:`graphene_sram_bytes` still charges
+every entry. This module adds the security-driven sizing rule and the
+SRAM cost it implies.
 """
 
 from __future__ import annotations

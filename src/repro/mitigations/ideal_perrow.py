@@ -11,16 +11,18 @@ available per mitigation period and ``M`` periods per refresh window,
 an attacker can push one row to ``n * H(M)`` activations (Table 2 —
 2195 at the default rate of one aggressor per 4 tREFI).
 
-Tracking the global maximum requires scanning all counters, which is
+Tracking the global maximum requires a max over all counters, which is
 why the paper deems this design impractical; it exists here as the
-analytical baseline for Table 2.
+analytical baseline for Table 2. The simulation mirrors the counts in a
+:class:`~repro.mitigations.base.CounterTable`, whose tournament tree
+finds that maximum in O(log n) host time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.mitigations.base import MitigationPolicy
+from repro.mitigations.base import CounterTable, MitigationPolicy
 
 
 class IdealPerRowPolicy(MitigationPolicy):
@@ -29,36 +31,39 @@ class IdealPerRowPolicy(MitigationPolicy):
     Args:
         eth: Minimum count for a row to be worth mitigating (0 disables
             the filter; the paper's idealized scheme has none).
+        num_rows: Bank size (rows are ``0 .. num_rows - 1``).
     """
 
     name = "ideal-per-row"
     wants_refresh_notifications = True
 
-    def __init__(self, eth: int = 0) -> None:
+    def __init__(self, eth: int = 0, num_rows: int = 64 * 1024) -> None:
         super().__init__()
         self.eth = eth
         #: Mirror of the defense-visible counts of touched rows.
-        self._counts: Dict[int, int] = {}
+        self._counts = CounterTable(num_rows)
 
     def on_activate(self, row: int, count: int) -> None:
-        self._counts[row] = count
+        self._counts.set(row, count)
 
     def select_proactive(self) -> Optional[int]:
-        if not self._counts:
+        found = self._counts.argmax()
+        if found is None:
             return None
-        row, count = max(self._counts.items(), key=lambda item: item[1])
+        row, count = found
         if count <= self.eth:
             return None
         # The engine resets the PRAC counter on mitigation; mirror that.
-        del self._counts[row]
+        self._counts.remove(row)
         return row
 
     def select_reactive(self, max_rows: int) -> List[int]:
         return []
 
     def on_ref(self, refreshed_rows: List[int]) -> None:
+        remove = self._counts.remove
         for row in refreshed_rows:
-            self._counts.pop(row, None)
+            remove(row)
 
     def sram_bytes(self) -> int:
         """Not SRAM-implementable (requires a global max scan)."""

@@ -12,12 +12,16 @@ more than ``e`` aggressor (or decoy) rows — TRRespass / Blacksmith
 style — keeps every count near zero and the tracker blind, which is
 exactly what the motivation benchmarks demonstrate.
 
-The table is stored as preallocated parallel arrays (row addresses,
-counts) plus a row-to-slot index — the SRAM register file, not a
-per-row hash. Slot order is insertion order, so the selection and
-eviction tie-breaks are identical to the original dict-backed
-implementation (securely sized Graphene instances carry thousands of
-entries, where the flat decrement-all sweep matters).
+The table lives in an :class:`~repro.mitigations.ordered_max.OrderedMax`
+— the SRAM register file as parallel (row, count) slots in insertion
+order, a row-to-slot index, and a tournament tree over the slots — so
+the selection and eviction tie-breaks are those of the original
+dict-backed implementation while finding the maximum costs O(log n)
+instead of a scan. Securely sized Graphene instances
+carry thousands of entries, where this matters: a mitigated entry is
+marked dead in place (no tail shift, no re-index), and Misra-Gries
+decrement-all lowers every count in place and removes only the entries
+that reach zero.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.mitigations.base import MitigationPolicy
+from repro.mitigations.ordered_max import OrderedMax
 
 
 class TrrTracker(MitigationPolicy):
@@ -44,69 +49,37 @@ class TrrTracker(MitigationPolicy):
         self.entries = entries
         self.mitigation_threshold = mitigation_threshold
         self.name = f"TRR({entries} entries)"
-        #: Register file: parallel (row, count) arrays with ``_fill``
-        #: live slots in insertion order, plus a row -> slot index.
-        self._rows: List[int] = [0] * entries
-        self._counts: List[int] = [0] * entries
-        self._fill = 0
+        #: Row -> slot index of the tracked rows.
         self._slot: Dict[int, int] = {}
+        #: Register file: insertion-ordered (row, count) slots.
+        self._regfile = OrderedMax(entries, self._slot)
 
     @property
     def _table(self) -> Dict[int, int]:
         """Inspection view: tracked rows -> counts, insertion order."""
-        return {
-            self._rows[i]: self._counts[i] for i in range(self._fill)
-        }
+        return dict(self._regfile.items())
 
     def on_activate(self, row: int, count: int) -> None:
-        slot = self._slot.get(row)
-        if slot is not None:
-            self._counts[slot] += 1
-            return
-        fill = self._fill
-        if fill < self.entries:
-            self._rows[fill] = row
-            self._counts[fill] = 1
-            self._slot[row] = fill
-            self._fill = fill + 1
-            return
-        # Misra-Gries: decrement everyone; compact out the zeros
-        # (stable, so surviving slots keep their insertion order).
-        rows, counts = self._rows, self._counts
-        keep = 0
-        for i in range(fill):
-            c = counts[i] - 1
-            if c > 0:
-                rows[keep] = rows[i]
-                counts[keep] = c
-                keep += 1
-        if keep != fill:
-            self._fill = keep
-            self._reindex()
-
-    def _reindex(self) -> None:
-        self._slot.clear()
-        for i in range(self._fill):
-            self._slot[self._rows[i]] = i
+        slots = self._regfile
+        pos = self._slot.get(row)
+        if pos is not None:
+            if slots.stale:
+                slots.counts[pos] += 1
+            else:
+                slots.add(pos, 1)
+        elif slots.live < self.entries:
+            slots.insert(row, 1)
+        else:
+            # Misra-Gries conflict: decrement everyone, drop the zeros.
+            slots.decrement_all()
 
     def select_proactive(self) -> Optional[int]:
-        fill = self._fill
-        if not fill:
+        slots = self._regfile
+        pos = slots.best()
+        if pos < 0 or slots.counts[pos] < self.mitigation_threshold:
             return None
-        counts = self._counts
-        best = 0
-        for i in range(1, fill):
-            if counts[i] > counts[best]:
-                best = i
-        if counts[best] < self.mitigation_threshold:
-            return None
-        rows = self._rows
-        row = rows[best]
-        for i in range(best + 1, fill):
-            rows[i - 1] = rows[i]
-            counts[i - 1] = counts[i]
-        self._fill = fill - 1
-        self._reindex()
+        row = slots.kill(pos)
+        del self._slot[row]
         return row
 
     def select_reactive(self, max_rows: int) -> List[int]:

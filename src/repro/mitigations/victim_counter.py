@@ -5,16 +5,19 @@ hypothetical TRR-Ideal, which (a) keeps a counter per *victim* row,
 (b) increments the counters of all four neighbours on each activation,
 and (c) refreshes the row with the globally maximal victim count at
 each mitigation opportunity. The simulation stores the counters in a
-preallocated :class:`~repro.mitigations.base.CounterTable` (one flat
-slot per row), mirroring the design's per-row storage.
+:class:`~repro.mitigations.base.CounterTable` (a flat row -> slot index
+over insertion-ordered counter slots), mirroring the design's per-row
+storage; a tournament tree over the slots finds the global maximum in
+O(log n) host time.
 
 Victim counting has one semantic advantage activation counting lacks:
 a victim squeezed between two aggressors (double-sided hammering)
 accumulates both sides in one counter, so the tolerated threshold is
 per-victim rather than per-aggressor. Its costs are why MOAT rejects
 it: every activation performs four counter updates (instead of one),
-and selecting the global maximum requires scanning all counters —
-impractical in DRAM. It also remains feinting-bounded like any purely
+and selecting the global maximum requires a max over all counters —
+impractical in DRAM, however cheaply the simulator's host structure
+finds it. It also remains feinting-bounded like any purely
 transparent scheme (Table 2).
 
 Policies of this type set ``mitigation_refreshes_row_directly``: the
@@ -57,8 +60,8 @@ class VictimCounterPolicy(MitigationPolicy):
         self.blast_radius = blast_radius
         self.eth = eth
         self.num_rows = num_rows
-        #: Disturbance counters: one preallocated slot per victim row
-        #: (dict-order semantics preserved — see CounterTable).
+        #: Disturbance counters per victim row (dict-order semantics
+        #: preserved — see CounterTable).
         self._table = CounterTable(num_rows)
 
     @property

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.workloads.profiles import WorkloadProfile
 
@@ -149,6 +149,13 @@ def generate_schedule(
     )
 
 
+#: The last :func:`generate_channel_schedules` result in this process,
+#: as ``[(arguments, schedules)]`` (at most one entry). Grid points are
+#: ordered workload-major, so consecutive points of one workload reuse
+#: one draw; a single entry keeps peak memory at one grid.
+_SCHEDULE_MEMO: List[Tuple[Tuple[Any, ...], List[List[ActivationSchedule]]]] = []
+
+
 def generate_channel_schedules(
     profile: WorkloadProfile,
     num_subchannels: int = 1,
@@ -169,12 +176,23 @@ def generate_channel_schedules(
 
     Returns ``schedules[subchannel][bank]``. Extra keyword arguments
     pass through to :func:`generate_schedule`.
+
+    The draw is a pure function of the arguments, so the last result is
+    memoised per process and returned again for equal arguments: callers
+    share it and must treat it as read-only.
     """
     if num_subchannels < 1:
         raise ValueError("num_subchannels must be at least 1")
     if banks_per_subchannel < 1:
         raise ValueError("banks_per_subchannel must be at least 1")
-    return [
+    key = (profile, num_subchannels, banks_per_subchannel, n_trefi, seed,
+           tuple(sorted(kwargs.items())))
+    if _SCHEDULE_MEMO and _SCHEDULE_MEMO[0][0] == key:
+        return _SCHEDULE_MEMO[0][1]
+    # Drop the previous grid before drawing the next, so the memo never
+    # holds two grids at once.
+    _SCHEDULE_MEMO.clear()
+    schedules = [
         [
             generate_schedule(
                 profile,
@@ -186,6 +204,8 @@ def generate_channel_schedules(
         ]
         for sub in range(num_subchannels)
     ]
+    _SCHEDULE_MEMO.append((key, schedules))
+    return schedules
 
 
 def generate_address_trace(

@@ -10,11 +10,15 @@ hypothesis hammers them with arbitrary activation/removal sequences
 against straightforward dict reference models.
 """
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.mitigations.base import CounterTable
 from repro.mitigations.graphene import make_graphene
+from repro.mitigations.ideal_perrow import IdealPerRowPolicy
 from repro.mitigations.moat import MoatPolicy
+from repro.mitigations.ordered_max import INITIAL_CAPACITY
 from repro.mitigations.trr import TrrTracker
 
 ROWS = 48  # small row space => plenty of collisions and evictions
@@ -47,12 +51,28 @@ class DictCounterReference:
     def remove(self, row: int) -> bool:
         return self.counts.pop(row, None) is not None
 
+    def set(self, row: int, count: int) -> None:
+        self.counts[row] = count
+
     def argmax(self):
         best = None
         for row, count in self.counts.items():
             if best is None or count > best[1]:
                 best = (row, count)
         return best
+
+
+def scan_select(table, threshold):
+    """The linear-scan mitigate-max: the first maximal entry in
+    insertion order, removed when it reaches ``threshold``."""
+    best = None
+    for row, count in table.items():
+        if best is None or count > best[1]:
+            best = (row, count)
+    if best is None or best[1] < threshold:
+        return None
+    del table[best[0]]
+    return best[0]
 
 
 def reference_misra_gries(sequence, entries):
@@ -124,8 +144,9 @@ class TestCounterTableProperties:
                          max_size=600))
     @settings(max_examples=20, deadline=None)
     def test_compaction_preserves_order(self, rows):
-        """Drive enough churn to trigger the lazy-compaction path (>64
-        stale entries) and confirm survivors keep first-touch order."""
+        """Drive enough churn to run out of slot positions (dead slots
+        force a compaction) and confirm survivors keep first-touch
+        order."""
         table = CounterTable(ROWS)
         reference = DictCounterReference()
         for row in rows:
@@ -223,17 +244,185 @@ class TestMisraGriesSlotProperties:
             if count > bound:
                 assert row in table, (row, count, bound)
 
-    @given(rows=act_sequences, entries=st.sampled_from([2, 8]))
+    @given(rows=act_sequences, entries=st.sampled_from([2, 8]),
+           period=st.integers(min_value=2, max_value=12))
     @settings(max_examples=30, deadline=None)
-    def test_slot_index_consistent(self, rows, entries):
-        """The row -> slot index and the parallel arrays never drift."""
+    def test_slot_index_consistent(self, rows, entries, period):
+        """The row -> slot index and the slot arrays never drift: every
+        indexed row sits in a live slot holding it, and every live slot
+        is indexed (across decrement-all compaction and mitigation)."""
+        tracker = TrrTracker(entries=entries, mitigation_threshold=2)
+        slots = tracker._regfile
+        for i, row in enumerate(rows):
+            tracker.on_activate(row, 0)
+            if i % period == period - 1:
+                tracker.select_proactive()
+            assert len(tracker._slot) == slots.live
+            for r, pos in tracker._slot.items():
+                assert slots.rows[pos] == r
+                assert slots.counts[pos] > 0
+            live = [pos for pos in range(slots.top) if slots.counts[pos] > 0]
+            assert sorted(tracker._slot.values()) == live
+
+    @given(rows=act_sequences, entries=st.sampled_from([1, 2, 4, 8]))
+    @settings(max_examples=60, deadline=None)
+    def test_full_table_decrement_all_keeps_order(self, rows, entries):
+        """Step by step, including every decrement-all of a full table,
+        the tracked rows, their counts and their insertion order match
+        the dict Misra-Gries."""
         tracker = TrrTracker(entries=entries, mitigation_threshold=4)
+        reference = {}
         for row in rows:
             tracker.on_activate(row, 0)
-            assert len(tracker._slot) == tracker._fill
-            for r, slot in tracker._slot.items():
-                assert tracker._rows[slot] == r
-                assert tracker._counts[slot] > 0
+            if row in reference:
+                reference[row] += 1
+            elif len(reference) < entries:
+                reference[row] = 1
+            else:
+                reference = {r: c - 1 for r, c in reference.items()
+                             if c - 1 > 0}
+            assert list(tracker._table.items()) == list(reference.items())
+
+
+class TestCounterTableGrowth:
+    """Row spaces far above the initial slot capacity: the slot array
+    grows, compacts and re-appends while staying dict-identical."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from([80, 300, 2000]),
+           removal=st.floats(min_value=0.0, max_value=0.6))
+    @settings(max_examples=25, deadline=None)
+    def test_growth_and_compaction_match_dict(self, seed, spread, removal):
+        rng = random.Random(seed)
+        table = CounterTable(4096)
+        reference = DictCounterReference()
+        caps = {table._cap}
+        for _ in range(3000):
+            row = rng.randrange(spread)
+            action = rng.random()
+            if action < removal:
+                assert table.remove(row) == reference.remove(row)
+            elif action < removal + 0.1:
+                # Overwrites move counts both ways in place.
+                count = rng.randrange(6)
+                table.set(row, count)
+                reference.set(row, count)
+            else:
+                delta = rng.randrange(3)
+                assert table.increment(row, delta) == reference.increment(
+                    row, delta
+                )
+            assert table.argmax() == reference.argmax()
+            assert len(table) == len(reference.counts)
+            caps.add(table._cap)
+        assert list(table.items()) == list(reference.counts.items())
+        if spread > 2 * INITIAL_CAPACITY and removal < 0.3:
+            assert max(caps) > INITIAL_CAPACITY
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_reinsertion_after_compaction_moves_to_back(self, seed):
+        """A row removed and re-touched goes to the back of the order,
+        also when a compaction ran in between."""
+        rng = random.Random(seed)
+        table = CounterTable(1024)
+        reference = DictCounterReference()
+        for round_ in range(6):
+            for row in rng.sample(range(1024), 150):
+                table.increment(row)
+                reference.increment(row)
+            for row in rng.sample(sorted(reference.counts), 100):
+                table.remove(row)
+                reference.remove(row)
+            assert list(table.items()) == list(reference.counts.items())
+            assert table.argmax() == reference.argmax()
+        assert table.top < 6 * 150
+
+
+class TestGrapheneFullSize:
+    """Long activate/select interleavings on a full-size secure
+    Graphene (34,305 entries) against the dict Misra-Gries and the
+    scan-based selection, through a full table's decrement-all."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           hot=st.integers(min_value=1, max_value=24),
+           period=st.integers(min_value=250, max_value=2500),
+           burst=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=4, deadline=None)
+    def test_long_interleaving_matches_reference(self, seed, hot, period,
+                                                 burst):
+        tracker = make_graphene(32)
+        entries = tracker.entries
+        assert entries == 34305
+        threshold = tracker.mitigation_threshold
+        rng = random.Random(seed)
+        hot_rows = rng.sample(range(1 << 16), hot)
+        cold_rows = list(range(1 << 16))
+        rng.shuffle(cold_rows)
+        reference = {}
+        conflicts = 0
+        for i in range(entries + 12000):
+            if rng.random() < 0.2:
+                row = hot_rows[rng.randrange(hot)]
+            else:
+                row = cold_rows[i % len(cold_rows)]
+            tracker.on_activate(row, 0)
+            if row in reference:
+                reference[row] += 1
+            elif len(reference) < entries:
+                reference[row] = 1
+            else:
+                conflicts += 1
+                reference = {r: c - 1 for r, c in reference.items()
+                             if c > 1}
+            if i % period == period - 1:
+                for _ in range(burst):
+                    assert tracker.select_proactive() == scan_select(
+                        reference, threshold
+                    )
+        assert conflicts > 0
+        assert list(tracker._table.items()) == list(reference.items())
+
+
+class TestIdealPerRowProperties:
+    """The PRAC-count mirror against the insertion-ordered dict it
+    replaced (``max`` over ``dict.items()``; ties to the first touch)."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(min_value=2, max_value=200),
+           eth=st.sampled_from([0, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dict_reference(self, seed, rows, eth):
+        rng = random.Random(seed)
+        policy = IdealPerRowPolicy(eth=eth, num_rows=256)
+        mirror = {}
+        prac = {}
+        for _ in range(1500):
+            action = rng.random()
+            if action < 0.8:
+                row = rng.randrange(rows)
+                prac[row] = prac.get(row, 0) + 1
+                policy.on_activate(row, prac[row])
+                mirror[row] = prac[row]
+            elif action < 0.9:
+                expected = None
+                if mirror:
+                    row, count = max(mirror.items(), key=lambda kv: kv[1])
+                    if count > eth:
+                        expected = row
+                        del mirror[row]
+                        prac[row] = 0
+                got = policy.select_proactive()
+                assert got == expected
+            else:
+                start = rng.randrange(rows)
+                group = list(range(start, min(rows, start + 8)))
+                policy.on_ref(group)
+                for row in group:
+                    mirror.pop(row, None)
+                    prac[row] = 0
+        assert policy._counts.as_dict() == mirror
+        assert list(policy._counts.items()) == list(mirror.items())
 
 
 class ListMoatReference:

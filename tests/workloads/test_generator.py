@@ -179,3 +179,48 @@ class TestAddressTraceGeneration:
                 profile_by_name("tc"), CoffeeLakeMapping(), n_trefi=8,
                 banks_per_subchannel=64,
             )
+    def test_equal_arguments_reuse_one_draw(self):
+        from repro.workloads.generator import generate_channel_schedules
+
+        profile = profile_by_name("roms")
+        first = generate_channel_schedules(profile, n_trefi=64, seed=3)
+        assert generate_channel_schedules(profile, n_trefi=64, seed=3) is first
+        other = generate_channel_schedules(profile, n_trefi=64, seed=4)
+        assert other is not first
+        assert other[0][0].per_trefi != first[0][0].per_trefi
+        # The memo holds one grid: returning to the first arguments
+        # draws again, with the same content.
+        again = generate_channel_schedules(profile, n_trefi=64, seed=3)
+        assert again is not first
+        assert again[0][0].per_trefi == first[0][0].per_trefi
+        assert again[0][0].planned_row_acts == first[0][0].planned_row_acts
+
+    def test_simulation_leaves_memoised_schedules_unchanged(self):
+        """Every caller shares the memoised grid, so a run must not
+        mutate it: the next point of the grid replays the same draw."""
+        import copy
+
+        from repro.sim.perf import MoatRunConfig, run_workload
+        from repro.workloads.generator import generate_channel_schedules
+
+        profile = profile_by_name("roms")
+        config = MoatRunConfig(n_trefi=256, ath=64, banks_simulated=2,
+                               model_cross_bank_service=True)
+        grid = generate_channel_schedules(
+            profile, num_subchannels=config.subchannels,
+            banks_per_subchannel=config.banks_simulated,
+            n_trefi=config.n_trefi, seed=config.seed,
+        )
+        snapshot = copy.deepcopy(
+            [[(s.per_trefi, s.planned_row_acts) for s in row] for row in grid]
+        )
+        result = run_workload(profile, config)
+        assert result.alerts > 0
+        assert generate_channel_schedules(
+            profile, num_subchannels=config.subchannels,
+            banks_per_subchannel=config.banks_simulated,
+            n_trefi=config.n_trefi, seed=config.seed,
+        ) is grid
+        assert [
+            [(s.per_trefi, s.planned_row_acts) for s in row] for row in grid
+        ] == snapshot
